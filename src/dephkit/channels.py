@@ -8,7 +8,7 @@ and never silently repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -65,15 +65,16 @@ class Channel:
     """A completely positive map stored as Kraus operators.
 
     ``trace_preserving`` asserts sum_n K_n† K_n = I; it is checked at
-    construction when set.
+    construction, entrywise within ``tol``, when set.
     """
 
     kraus: tuple[np.ndarray, ...]
     dim_in: int
     dim_out: int
     trace_preserving: bool = True
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol: float):
         if not self.kraus:
             raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator")
         for k in self.kraus:
@@ -83,7 +84,7 @@ class Channel:
                 )
         if self.trace_preserving:
             dev = max_abs(self.kraus_sum() - np.eye(self.dim_in))
-            if dev > DEFAULT_TOL:
+            if dev > tol:
                 raise ValidationError(
                     "trace-preserving", f"sum K†K deviates from identity by {dev:.3e}", dev
                 )
@@ -92,13 +93,13 @@ class Channel:
         return sum(dagger(k) @ k for k in self.kraus)
 
 
-def channel_from_kraus(kraus, trace_preserving: bool = True) -> Channel:
-    """Build a Channel from an iterable of equal-shape Kraus matrices."""
+def channel_from_kraus(kraus, trace_preserving: bool = True, tol: float = DEFAULT_TOL) -> Channel:
+    """Build a Channel from an iterable of equal-shape Kraus matrices, TP within tol when asked."""
     ops = tuple(readonly_copy(as_complex_matrix(k)) for k in kraus)
     if not ops:
         raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator")
     rows, cols = ops[0].shape
-    return Channel(kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=trace_preserving)
+    return Channel(kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=trace_preserving, tol=tol)
 
 
 def identity_channel(d: int) -> Channel:
@@ -146,8 +147,10 @@ def channel_from_jamiolkowski(
 ) -> Channel:
     """Recover Kraus operators from a Jamiolkowski state by eigendecomposition.
 
-    Eigenvalues of d*J below -tol signal a non-CP map and are rejected; tiny
-    negatives within tol are clamped to zero.
+    tol applies on the scale of J: eigenvalues of J below -tol signal a
+    non-CP map and are rejected, tiny negatives within tol are clamped to
+    zero, and trace preservation is checked as max |Tr_1 J - I/d| <= tol,
+    which is sum K†K within d*tol of the identity.
     """
     jam = as_complex_matrix(jam)
     side = jam.shape[0]
@@ -165,7 +168,7 @@ def channel_from_jamiolkowski(
         ops.append(np.sqrt(lam) * v.reshape(d, d))
     if not ops:
         ops = [np.zeros((d, d), dtype=complex)]
-    return channel_from_kraus(ops, trace_preserving=trace_preserving)
+    return channel_from_kraus(ops, trace_preserving=trace_preserving, tol=d * tol)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Subcommands wrap the library operations over a JSON wire format. Exit codes
 are a stable contract: 0 for pass/value results, 1 for domain failures
 (invalid matrices, failed verifications), 2 for I/O or parse failures.
-The DEPHKIT_TOL environment variable overrides the default tolerance.
+The DEPHKIT_TOL environment variable overrides the default tolerance; a
+tolerance that is not a finite nonnegative number is a parse failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -20,15 +22,22 @@ import numpy as np
 from . import bloch, channels, io, memory, superchannels
 from .errors import DephkitError, NotDephasingRealizationError
 from .io import FileFormatError
-from .linalg import max_abs, min_eig_hermitian
+from .linalg import DEFAULT_TOL, max_abs, min_eig_hermitian
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("DEPHKIT_TOL", "1e-9"))
+def _tolerance(text: str) -> float:
+    """argparse type of --tol, also applied to the DEPHKIT_TOL default."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan  # refused below with the other non-finite values
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite nonnegative number, got {text!r}")
+    return tol
 
 
 @dataclass
@@ -196,10 +205,9 @@ def cmd_memory_activity(args) -> int:
 
 def cmd_memory_decompose(args) -> int:
     sg = _read_super_gram(args.file, args.tol)
-    target = max(args.tol, 1e-6)  # reconstruction tolerance floor for the grid fit
-    dec = memory.decompose_product_qubit(sg, tol=target)
+    dec = memory.decompose_product_qubit(sg, tol=args.tol)
     report = Report(verdict="pass", provenance=_provenance(args.file))
-    report.add("reconstruction residual (product mixture)", dec.residual, target)
+    report.add("reconstruction residual (product mixture)", dec.residual, args.tol)
     report.add("term count", len(dec.terms))
     report.add("total weight", dec.total_weight(), None)
     if args.out:
@@ -300,8 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dephasing superchannels as Gram matrices: validation, simulation, memory analysis.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=_default_tol(), help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=42, help="seed for randomized internals")
+    common.add_argument(
+        "--tol",
+        type=_tolerance,
+        default=os.environ.get("DEPHKIT_TOL", str(DEFAULT_TOL)),
+        help="numerical tolerance, finite and >= 0 (default: %(default)s, from $DEPHKIT_TOL when set)",
+    )
     common.add_argument("--out", type=Path, default=None, help="write the primary artifact here")
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable report")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski_tp_defect
 from .errors import DephkitError
-from .linalg import as_complex_matrix, is_psd
+from .linalg import DEFAULT_TOL, as_complex_matrix, is_psd
 from .superchannels import BipartiteChannel, bipartite_channel
 
 
@@ -108,7 +108,7 @@ def _channel_from_obj(obj, tol: float) -> Channel:
             ops = [matrix_from_obj(k) for k in obj["kraus"]]
         except (KeyError, TypeError) as exc:
             raise FileFormatError(f"malformed kraus channel: {exc}") from exc
-        return channel_from_kraus(ops)
+        return channel_from_kraus(ops, tol=tol)
     if kind == "jamiolkowski":
         mat = matrix_from_obj(obj["matrix"] if "matrix" in obj else obj)
         d = round(mat.shape[0] ** 0.5)
@@ -121,7 +121,7 @@ def _channel_from_obj(obj, tol: float) -> Channel:
     raise FileFormatError(f"unknown channel kind {kind!r}")
 
 
-def read_channel(path, tol: float = 1e-9) -> Channel:
+def read_channel(path, tol: float = DEFAULT_TOL) -> Channel:
     return _channel_from_obj(_load_json(path), tol)
 
 

@@ -5,18 +5,16 @@ not depend on the system input; on the Gram matrix this forces every block
 to carry a constant diagonal. For qubit superchannels the set realizable
 with passive memory is exactly the set of mixtures of product Gram matrices,
 and the l1 distance to it has the closed form implemented here, together
-with an explicit nearest passive matrix and a certificate-producing product
-decomposition. A one-parameter qutrit family with its controlled-unitary
+with an explicit nearest passive matrix and an exact product decomposition
+(at most 9 terms, found by column generation) that certifies membership. A one-parameter qutrit family with its controlled-unitary
 realization and a bundled experimental qubit matrix round out the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .channels import GramMatrix, gram_matrix
 from .errors import DecompositionError, DimensionError, ValidationError
@@ -140,31 +138,87 @@ def _product_column(theta: float, phi: float) -> np.ndarray:
     return np.concatenate([m.real, m.imag])
 
 
-@lru_cache(maxsize=4)
-def _coarse_dictionary(grid: int):
-    step = 2 * np.pi / grid
-    pairs = tuple((i * step, j * step) for i in range(grid) for j in range(grid))
-    columns = np.array([_product_column(th, ph) for th, ph in pairs]).T
-    return pairs, columns
+# Entry ((a, c), (b, d)) of C(theta) ⊗ C(phi) is exp(i(a-b)theta) exp(i(c-d)phi).
+# Row 3(p+1) + (q+1) of this map sums the entries whose exponents are (p, q).
+_EXPONENT_SUMS = np.array(
+    [[float(3 * (a - b + 1) + (c - d + 1) == row) for a, c, b, d in np.ndindex(2, 2, 2, 2)] for row in range(9)]
+)
+
+# An atom C(theta) ⊗ C(phi) has Frobenius norm 4, so the score Re<R, atom>
+# carries rounding of about 1e-16 * 4 ||target||. A best score below
+# _NO_GAIN_RTOL * 4 ||target|| is taken as "no product atom improves the fit".
+_NO_GAIN_RTOL = 1e-13
+# Column generation adds one atom per round; the optimum needs at most 9, and
+# NNLS gives the atoms that later ones supersede zero weight.
+_MAX_ROUNDS = 100
+# Newton converges quadratically from the ~1e-8 accurate root candidate.
+_NEWTON_STEPS = 4
 
 
-def _nnls_fit(pairs, columns: np.ndarray, target: np.ndarray):
-    b = np.concatenate([target.ravel().real, target.ravel().imag])
-    weights, _ = nnls(columns, b, maxiter=10 * columns.shape[1])
-    recon = columns @ weights
-    half = recon.size // 2
-    residual = max_abs((recon[:half] + 1j * recon[half:]).reshape(4, 4) - target)
-    return weights, residual
+def _trig(coef: np.ndarray, theta, derivative: int = 0):
+    """sum_k (ik)^derivative coef_k e^{ik theta} for k = -n..n."""
+    k = np.arange(coef.size) - coef.size // 2
+    return np.exp(1j * np.multiply.outer(theta, k)) @ (coef * (1j * k) ** derivative)
 
 
-def decompose_product_qubit(sg: SuperGram, tol: float = 1e-6, grid: int = 64) -> ProductDecomposition:
+def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
+    """Product atom (theta, phi) maximizing Re<rest, C(theta) ⊗ C(phi)>, and that score.
+
+    The score is A(theta) + Re(B(theta) e^{i phi}) with A, B degree-1
+    trigonometric polynomials, so the best phi is -arg B(theta) and
+    f = A + |B| remains. Squaring f' = 0, i.e. 2|B| A' = -(|B|^2)', gives
+    Q = 4 |B|^2 f' g' = 0 with g = A - |B|: a degree-4 trigonometric
+    (degree-8 algebraic) polynomial whose roots hold every stationary point
+    of f, unless g is constant (a product target), where f = 2A + const
+    peaks at -arg a_1. Near such targets, or where squaring makes the
+    maximizer a double root, np.roots resolves it only to about the square
+    root of machine precision, so the best candidate is polished by Newton
+    steps on f.
+    """
+    s = (_EXPONENT_SUMS @ rest.conj().ravel()).reshape(3, 3)  # s[p + 1, q + 1]
+    a = (s[:, 1] + s[::-1, 1].conj()) / 2  # A(theta) = sum_p a_p e^{ip theta}, real
+    b = s[:, 2] + s[::-1, 0].conj()  # B(theta) = sum_p b_p e^{ip theta}
+    bb = np.convolve(b, b[::-1].conj())  # |B|^2
+    da = a * 1j * np.arange(-1, 2)
+    dbb = bb * 1j * np.arange(-2, 3)
+    q = 4 * np.convolve(np.convolve(da, da), bb) - np.convolve(dbb, dbb)
+    thetas = np.concatenate([np.angle(np.roots(q[::-1])), [-np.angle(a[2]), 0.0]])
+
+    def f(theta):
+        return _trig(a, theta).real + np.abs(_trig(b, theta))
+
+    theta = thetas[np.argmax(f(thetas))]
+    for _ in range(_NEWTON_STEPS):
+        bv, db, d2b = (_trig(b, theta, n) for n in range(3))
+        mod = abs(bv)
+        if mod == 0:
+            break
+        dmod = (bv.conjugate() * db).real / mod
+        df = _trig(a, theta, 1).real + dmod
+        d2f = _trig(a, theta, 2).real + (abs(db) ** 2 + (bv.conjugate() * d2b).real - dmod**2) / mod
+        if not d2f < 0 or f(theta - df / d2f) < f(theta):
+            break
+        theta = theta - df / d2f
+    theta = float(np.mod(theta, 2 * np.pi))
+    phi = float(np.mod(-np.angle(_trig(b, theta)), 2 * np.pi))
+    return theta, phi, float(f(theta))
+
+
+def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductDecomposition:
     """Decompose a passive-compatible qubit Gram matrix into product terms.
 
-    Fits nonnegative weights over a dictionary of products of equatorial
-    2x2 Gram matrices (grid x grid angle pairs) by nonnegative least squares.
-    If the coarse fit misses the tolerance, the grid is refined once around
-    the active support before giving up with the residual.
+    Column generation over nonnegative least squares: the weights of the
+    atoms found so far, products C(theta) ⊗ C(phi) of equatorial 2x2 Gram
+    matrices, are refit by NNLS, and the atom that best matches the residual
+    is found exactly (see ``_best_atom``) and added, until the entrywise
+    residual is at most ``tol``. The result has at most 9 terms, the
+    Carathéodory bound for the 9-dimensional span of the atoms. Raises
+    DecompositionError with the residual when no atom improves the fit (the
+    matrix is not a product mixture within ``tol``) or after ``_MAX_ROUNDS``
+    atoms.
     """
+    from scipy.optimize import nnls  # the package's only scipy use: keep it off every import path
+
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
     if not is_passive_compatible(sg, tol):
@@ -173,25 +227,31 @@ def decompose_product_qubit(sg: SuperGram, tol: float = 1e-6, grid: int = 64) ->
             "Gram matrix has a block with non-constant diagonal; no passive realization exists",
         )
 
-    step = 2 * np.pi / grid
-    coarse_pairs, coarse_cols = _coarse_dictionary(grid)
-    weights, residual = _nnls_fit(coarse_pairs, coarse_cols, sg.mat)
-    pairs = coarse_pairs
-
-    if residual > tol:
-        support = [coarse_pairs[i] for i in np.flatnonzero(weights > 1e-9)]
-        local = np.linspace(-step / 2, step / 2, 65)
-        extra = [
-            (th + da, ph + db) for th, ph in support for da in local for db in local
-        ]
-        extra_cols = np.array([_product_column(th, ph) for th, ph in extra]).T
-        pairs = list(coarse_pairs) + extra
-        weights, residual = _nnls_fit(pairs, np.hstack([coarse_cols, extra_cols]), sg.mat)
-
-    if residual > tol:
-        raise DecompositionError(
-            f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}", residual
-        )
+    target = sg.mat
+    b = np.concatenate([target.real.ravel(), target.imag.ravel()])
+    no_gain = _NO_GAIN_RTOL * 4 * np.linalg.norm(b)
+    atoms: list[tuple[float, float]] = []
+    columns = np.empty((32, 0))
+    weights = np.empty(0)
+    rest = target
+    while (residual := max_abs(rest)) > tol:
+        if len(atoms) == _MAX_ROUNDS:
+            raise DecompositionError(
+                f"product decomposition stopped after {len(atoms)} atoms at residual {residual:.3e} > {tol:.1e}",
+                residual,
+            )
+        theta, phi, score = _best_atom(rest)
+        if score <= no_gain:
+            raise DecompositionError(
+                f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}: "
+                "no product atom improves the fit",
+                residual,
+            )
+        atoms.append((theta, phi))
+        columns = np.column_stack([columns, _product_column(theta, phi)])
+        weights, _ = nnls(columns, b)
+        fit = columns @ weights
+        rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
 
     terms = tuple(
         ProductTerm(
@@ -199,8 +259,8 @@ def decompose_product_qubit(sg: SuperGram, tol: float = 1e-6, grid: int = 64) ->
             c1=gram_matrix(_circle_gram(th)),
             c2=gram_matrix(_circle_gram(ph)),
         )
-        for w, (th, ph) in zip(weights, pairs)
-        if w > 1e-11
+        for w, (th, ph) in zip(weights, atoms)
+        if w > 0
     )
     return ProductDecomposition(terms=terms, residual=residual)
 

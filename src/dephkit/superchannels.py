@@ -102,18 +102,17 @@ def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel
             f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal the superchannel's d={sg.d}"
         )
     jam_out = jamiolkowski(ch) * sg.mat
-    try:
-        out = channel_from_jamiolkowski(jam_out, tol=tol)
-    except ValidationError as exc:
-        raise ValidationError(
-            "superchannel-output-cp", f"transformed channel failed CP validation: {exc}"
-        ) from exc
     defect = jamiolkowski_tp_defect(jam_out, sg.d)
     if defect > tol:
         raise ValidationError(
             "superchannel-output-tp", f"transformed channel violates TP by {defect:.3e}", defect
         )
-    return out
+    try:
+        return channel_from_jamiolkowski(jam_out, tol=tol)
+    except ValidationError as exc:
+        raise ValidationError(
+            "superchannel-output-cp", f"transformed channel failed CP validation: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

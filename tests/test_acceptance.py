@@ -249,9 +249,10 @@ def test_criterion_09_product_decomposition_roundtrip():
         rng = np.random.default_rng(321)
         for _ in range(50):
             sg = _random_passive_mixture(rng)
-            dec = decompose_product_qubit(sg, tol=1e-6)
-            assert max_abs(dec.reconstruct() - sg.mat) <= 1e-6
-            assert abs(dec.total_weight() - 1) <= 1e-6
+            dec = decompose_product_qubit(sg, tol=1e-10)
+            assert len(dec.terms) <= 9
+            assert max_abs(dec.reconstruct() - sg.mat) <= 1e-10
+            assert abs(dec.total_weight() - 1) <= 1e-10
 
         cmax = validate_super_gram(CMAX, 2)
         with pytest.raises(ValidationError) as err:

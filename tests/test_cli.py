@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dephkit
 from conftest import CMAX
 from dephkit import identity_channel, kron, random_channel, unitary_channel
 from dephkit.cli import main
@@ -248,15 +253,19 @@ def test_memory_decompose(capsys, tmp_path):
     path = tmp_path / "prod.json"
     out = tmp_path / "dec.json"
     write_matrix(path, kron(c1, c2))
-    code, report = run_json(capsys, "memory-decompose", path, "--out", out)
+    code, report = run_json(capsys, "memory-decompose", path, "--out", out, "--tol", "1e-12")
     assert code == 0
+    residual = next(d for d in report["details"] if "reconstruction residual" in d["check"])
+    assert residual["threshold"] == 1e-12
+    assert residual["value"] <= 1e-12
     obj = json.loads(out.read_text())
     recon = np.zeros((4, 4), dtype=complex)
     for term in obj["terms"]:
         c1m = np.array([complex(a, b) for a, b in term["c1"]["data"]]).reshape(2, 2)
         c2m = np.array([complex(a, b) for a, b in term["c2"]["data"]]).reshape(2, 2)
         recon += term["weight"] * np.kron(c1m, c2m)
-    assert max_abs(recon - kron(c1, c2)) < 1e-6
+    assert len(obj["terms"]) <= 9
+    assert max_abs(recon - kron(c1, c2)) <= 1e-12
 
 
 def test_memory_decompose_rejects_active(capsys, cmax_file):
@@ -312,3 +321,26 @@ def test_env_tol_override(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("DEPHKIT_TOL", "1e-5")
     assert main(["gram-validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bad_tolerance_is_a_parse_error(capsys, monkeypatch, source, value):
+    argv = ["gram-validate", str(bundled_data_path("nmr_gram.json"))]
+    if source == "flag":
+        argv += ["--tol", value]
+    else:
+        monkeypatch.setenv("DEPHKIT_TOL", value)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(dephkit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, dephkit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

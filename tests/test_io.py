@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dephkit import jamiolkowski, random_channel, random_controlled_family, superop_from_kraus
+from dephkit import (
+    ValidationError,
+    channel_from_kraus,
+    jamiolkowski,
+    random_channel,
+    random_controlled_family,
+    superop_from_kraus,
+)
 from dephkit.io import (
     FileFormatError,
     bundled_data_path,
@@ -69,6 +76,17 @@ def test_channel_jamiolkowski_roundtrip(tmp_path):
     write_channel(path, ch, kind="jamiolkowski")
     back = read_channel(path)
     assert max_abs(jamiolkowski(back) - jamiolkowski(ch)) < 1e-9
+
+
+def test_channel_kraus_tp_checked_at_the_callers_tol(tmp_path):
+    ch = random_channel(2, 3, seed=1)
+    path = tmp_path / "ch.json"
+    dented = channel_from_kraus([k * (1 + 5e-8) for k in ch.kraus], trace_preserving=False)
+    write_channel(path, dented, kind="kraus")
+    read_channel(path, tol=1e-6)
+    with pytest.raises(ValidationError) as err:
+        read_channel(path)
+    assert err.value.check == "trace-preserving"
 
 
 def test_channel_untagged_matrix_audited(tmp_path):

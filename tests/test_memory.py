@@ -22,7 +22,7 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit.linalg import basis_vector, max_abs
-from dephkit.memory import NMR_C01, NMR_VALIDATION_TOL, _circle_gram
+from dephkit.memory import NMR_C01, NMR_VALIDATION_TOL, _best_atom, _circle_gram
 
 RNG = np.random.default_rng(2024)
 
@@ -155,10 +155,10 @@ def test_decompose_single_product():
     c1 = _circle_gram(2 * np.pi * 5 / 64)
     c2 = _circle_gram(2 * np.pi * 20 / 64)
     sg = validate_super_gram(kron(c1, c2), 2)
-    dec = decompose_product_qubit(sg)
+    dec = decompose_product_qubit(sg, tol=1e-10)
     assert len(dec.terms) == 1
-    assert dec.terms[0].weight == pytest.approx(1.0, abs=1e-9)
-    assert max_abs(dec.reconstruct() - sg.mat) < 1e-6
+    assert dec.terms[0].weight == pytest.approx(1.0, abs=1e-10)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-10
 
 
 def test_decompose_all_ones():
@@ -169,17 +169,33 @@ def test_decompose_all_ones():
     assert max_abs(dec.terms[0].c2.mat - np.ones((2, 2))) < 1e-12
 
 
+def _assert_certificate(sg, dec, tol):
+    assert len(dec.terms) <= 9  # Carathéodory bound
+    assert max_abs(dec.reconstruct() - sg.mat) <= tol
+    assert dec.residual <= tol
+    assert abs(dec.total_weight() - 1.0) <= tol
+    for term in dec.terms:
+        assert term.weight > 0
+        gram_matrix(term.c1.mat)
+        gram_matrix(term.c2.mat)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_decompose_synthesized_mixtures(seed):
     rng = np.random.default_rng(seed + 80)
     sg = random_product_mixture(rng)
-    dec = decompose_product_qubit(sg)
-    assert max_abs(dec.reconstruct() - sg.mat) < 1e-6
-    assert dec.total_weight() == pytest.approx(1.0, abs=1e-6)
-    for term in dec.terms:
-        assert term.weight >= 0
-        gram_matrix(term.c1.mat)
-        gram_matrix(term.c2.mat)
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decompose_nearest_passive_matrices(seed):
+    sg = nearest_passive_qubit(random_super_gram(2, seed + 700))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
+
+
+def test_decompose_nearest_passive_nmr():
+    sg = nearest_passive_qubit(nmr_experimental_gram(), tol=NMR_VALIDATION_TOL)
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
 
 
 def test_decompose_rejects_cmax(cmax):
@@ -188,20 +204,62 @@ def test_decompose_rejects_cmax(cmax):
     assert err.value.check == "passive-compatibility"
 
 
-def test_decompose_off_grid_extreme_point_uses_refinement():
-    # Unit-modulus product at angles off the coarse grid: only reachable
-    # after the local grid refinement.
-    sg = validate_super_gram(kron(_circle_gram(0.7123), _circle_gram(2.4988)), 2)
-    dec = decompose_product_qubit(sg)
-    assert max_abs(dec.reconstruct() - sg.mat) < 1e-6
+OFF_GRID = kron(_circle_gram(0.7123), _circle_gram(2.4988))
+
+
+def test_decompose_off_grid_extreme_point_is_one_exact_term():
+    # A unit-modulus product is an extreme point: its only decomposition is itself.
+    sg = validate_super_gram(OFF_GRID, 2)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    assert len(dec.terms) == 1
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-12
 
 
 def test_decompose_search_failure_carries_residual():
-    # The same extreme target cannot be fit to 1e-9 even after refinement.
-    sg = validate_super_gram(kron(_circle_gram(0.7123), _circle_gram(2.4988)), 2)
+    # Stretching the off-grid product away from the identity keeps the matrix
+    # passive compatible but makes three eigenvalues -1e-3: no product mixture
+    # fits it, and the search stops at its distance from the mixtures.
+    sg = validate_super_gram(np.eye(4) + 1.001 * (OFF_GRID - np.eye(4)), 2, tol=2e-3)
+    assert is_passive_compatible(sg, 1e-12)
     with pytest.raises(DecompositionError) as err:
         decompose_product_qubit(sg, tol=1e-9)
-    assert 1e-9 < err.value.residual < 1e-4
+    assert 1e-9 < err.value.residual < 1e-2
+
+
+def _dense_best_score(rest, n=4096):
+    """Best Re<rest, C(theta) ⊗ C(phi)> over n equispaced theta.
+
+    For fixed theta the score is Re<K, C(phi)> with K the 2x2 contraction of
+    rest against C(theta), whose maximum over phi is Re tr K + |K10 + conj(K01)|.
+    """
+    thetas = 2 * np.pi * np.arange(n) / n
+    cs = np.array([_circle_gram(t) for t in thetas])
+    k = np.einsum("acbd,tab->tcd", rest.reshape(2, 2, 2, 2).conj(), cs)
+    return float(((k[:, 0, 0] + k[:, 1, 1]).real + np.abs(k[:, 1, 0] + k[:, 0, 1].conj())).max())
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("radius", [1.0, 0.6])
+def test_pricing_is_exact_on_product_residuals(seed, radius):
+    # The best atom for w C(r, t1) ⊗ C(r, t2) sits at (t1, t2). Unit radius
+    # makes the squared stationarity polynomial vanish identically; a radius
+    # below 1 makes the maximizer a double root of it.
+    rng = np.random.default_rng(seed + 4000)
+    t1, t2 = 2 * np.pi * rng.random(2)
+    theta, phi, _ = _best_atom(rng.uniform(0.1, 3) * kron(disk_gram(radius, t1), disk_gram(radius, t2)))
+    assert abs(np.angle(np.exp(1j * (theta - t1)))) < 1e-12
+    assert abs(np.angle(np.exp(1j * (phi - t2)))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pricing_finds_the_best_product_atom(seed):
+    rng = np.random.default_rng(seed + 3000)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rest = g + g.conj().T
+    theta, phi, score = _best_atom(rest)
+    atom = kron(_circle_gram(theta), _circle_gram(phi))
+    assert score == pytest.approx(float((rest.conj() * atom).sum().real), abs=1e-12)
+    assert score >= _dense_best_score(rest) - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,28 @@ def test_apply_super_preserves_classical_action(d, n):
         assert is_psd(jamiolkowski(out), tol=1e-9)
 
 
+def _dented_super_gram():
+    # Block (0, 0) raised by 2e-7 off the diagonal: a valid Gram matrix at
+    # tol 1e-6 whose output channel misses trace preservation by 3.2e-8
+    # (6.4e-8 on sum K†K).
+    mat = random_super_gram(2, 3).mat.copy()
+    mat[0, 1] += 2e-7
+    mat[1, 0] += 2e-7
+    return validate_super_gram(mat, 2, tol=1e-6)
+
+
+def test_apply_super_checks_tp_at_the_callers_tol():
+    out = apply_super(_dented_super_gram(), random_channel(2, 2, 5), tol=1e-6)
+    assert max_abs(out.kraus_sum() - np.eye(2)) < 1e-6
+
+
+def test_apply_super_tp_defect_above_tol_is_named():
+    with pytest.raises(ValidationError) as err:
+        apply_super(_dented_super_gram(), random_channel(2, 2, 5), tol=1e-8)
+    assert err.value.check == "superchannel-output-tp"
+    assert 1e-8 < err.value.value < 1e-6
+
+
 def test_apply_super_dim_mismatch():
     with pytest.raises(DimensionError):
         apply_super(identity_super_gram(2), random_channel(3, 2, 0))
