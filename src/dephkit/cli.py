@@ -235,7 +235,7 @@ def cmd_ppt(args) -> int:
     else:
         d = _side_to_d(mat.shape[0])
         dims = (d, d)
-    value = memory.ppt_min_eig(mat, dims)
+    value = memory.ppt_min_eig(mat, dims, tol=args.tol)
     report = Report(verdict="value", value=value, provenance=_provenance(args.file))
     report.add("partial transpose smallest eigenvalue (separability test)", value)
     report.add("entangled (negative certifies)", bool(value < -args.tol))
@@ -249,7 +249,7 @@ def cmd_family(args) -> int:
     report.add("alpha", str(args.alpha))
     report.add("beta", str(args.beta))
     if args.ppt:
-        measured = memory.ppt_min_eig(sg)
+        measured = memory.ppt_min_eig(sg, tol=args.tol)
         closed = memory.family_ppt_closed_form(args.alpha, args.beta)
         report.add("partial transpose smallest eigenvalue", measured)
         report.add("closed form 1 - sqrt(|a|^2+|b|^2)", closed)

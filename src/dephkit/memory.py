@@ -86,11 +86,14 @@ def nearest_passive_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> SuperGram:
     return validate_super_gram(out, 2, tol=tol)
 
 
-def ppt_min_eig(sg: SuperGram | np.ndarray, dims: tuple[int, int] | None = None) -> float:
+def ppt_min_eig(
+    sg: SuperGram | np.ndarray, dims: tuple[int, int] | None = None, tol: float = DEFAULT_TOL
+) -> float:
     """Smallest eigenvalue of the partial transpose over the second factor.
 
     A negative value certifies entanglement of the normalized matrix; for a
-    2x2 factorization nonnegativity certifies separability.
+    2x2 factorization nonnegativity certifies separability. A matrix further
+    than ``tol`` from Hermitian raises ValidationError ("hermitian").
     """
     if isinstance(sg, SuperGram):
         mat = sg.mat
@@ -99,7 +102,7 @@ def ppt_min_eig(sg: SuperGram | np.ndarray, dims: tuple[int, int] | None = None)
         mat = as_complex_matrix(sg)
         if dims is None:
             raise DimensionError("dims required when the input is a raw matrix")
-    return min_eig_hermitian(partial_transpose(mat, dims, "second"), hermiticity_tol=1e-7)
+    return min_eig_hermitian(partial_transpose(mat, dims, "second"), hermiticity_tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,24 @@ pair realizes one, and provides a brute-force full-circuit oracle.
 
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
+
+Realization engine: every check on an encode/decode/memory triple is read
+from two superoperators, each built once per call by one matrix product per
+Kraus operator. With b[i,t,p,g] and a[k,g,m,a] the decoder's and encoder's
+Kraus tensors ([sys_out, mem_out, sys_in, mem_in]), M the middle memory's
+dimension and tau the initial memory state:
+
+    D[(i,p,j,q),(g,h)] = sum_t b[i,t,p,g] conj(b[j,t,q,h])
+        a d^4 x M^2 matrix; entry (i, j) of Tr_mem N_de(|p><q| ⊗ |g><h|)
+    E[k,g,m,l,h,n] = sum_ab a[k,g,m,a] tau[a,b] conj(a[l,h,n,b])
+        shape (d, M, d, d, M, d); entry ((k, g), (l, h)) of N_en(|m><n| ⊗ tau)
+    R[(i,p,j,q),(k,m,l,n)] = sum_gh D[(i,p,j,q),(g,h)] E[k,g,m,l,h,n]
+        a d^4 x d^4 matrix, one (d^4 x M^2)(M^2 x d^4) product; the
+        simulation tensor, built only for the mismatch audit
+
+The realization checks cost O(d^4 M^2) from diagonal views of D and E: a
+composite index (x, y) of side d x d holds its matched entries x == y at
+stride d + 1.
 """
 
 from __future__ import annotations
@@ -37,7 +55,6 @@ from .linalg import (
     kron,
     max_abs,
     min_eig_hermitian,
-    partial_trace,
     random_unitary,
     readonly_copy,
 )
@@ -251,45 +268,38 @@ def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndar
     the surviving entries are the superchannel's Gram matrix.
     """
     d = _check_simulation_dims(enc, dec, tau)
-    tau = as_complex_matrix(tau)
-    dec_part = sum(
-        np.einsum("itpg,jtqh->ijpgqh", b, b.conj()) for b in dec.kraus_tensors()
-    )
-    enc_part = sum(
-        np.einsum("kgma,ab,lhnb->kglhmn", a, tau, a.conj()) for a in enc.kraus_tensors()
-    )
-    return np.einsum("ijpgqh,kglhmn->ijpqklmn", dec_part, enc_part)
+    rhs = _tensor(*_superoperators(enc, dec, as_complex_matrix(tau)))
+    return rhs.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
 
 
-def _matched_entries(rhs: np.ndarray, d: int) -> np.ndarray:
-    gram = np.empty((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    gram[i * d + k, j * d + l] = rhs[i, j, i, j, k, l, k, l]
-    return gram
+def _superoperators(
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's D and the encoder's E, in the layouts of the module docstring."""
+    d, mem = enc.sys_in, enc.mem_out
+    rows = [b.transpose(1, 0, 2, 3).reshape(dec.mem_out, d * d * mem) for b in dec.kraus_tensors()]
+    dec_op = sum(y.T @ y.conj() for y in rows)  # [(i,p,g),(j,q,h)]
+    dec_op = dec_op.reshape(d, d, mem, d, d, mem).transpose(0, 1, 3, 4, 2, 5)
+    cols = [a.reshape(d * mem * d, enc.mem_in) for a in enc.kraus_tensors()]
+    enc_op = sum(x @ tau @ x.conj().T for x in cols)
+    return dec_op.reshape(d**4, mem * mem), enc_op.reshape(d, mem, d, d, mem, d)
 
 
-def _mismatch_violation(rhs: np.ndarray, d: int) -> float:
-    ii, jj, pp, qq, kk, ll, mm, nn = np.ix_(*[np.arange(d)] * 8)
-    matched = (pp == ii) & (qq == jj) & (mm == kk) & (nn == ll)
-    off = rhs[~np.broadcast_to(matched, rhs.shape)]
-    return max_abs(off)
+def _tensor(dec_op: np.ndarray, enc_op: np.ndarray) -> np.ndarray:
+    """R as the d^4 x d^4 matrix [(i,p,j,q),(k,m,l,n)]: one (d^4 x M^2)(M^2 x d^4) product."""
+    d, mem = enc_op.shape[:2]
+    return dec_op @ enc_op.transpose(1, 4, 0, 2, 3, 5).reshape(mem * mem, d**4)
 
 
-def _gram_classical_memory(
-    enc: BipartiteChannel, dec: BipartiteChannel, weights: np.ndarray
-) -> np.ndarray:
-    """Reduced contraction for a diagonal memory state with probabilities ``weights``."""
-    dec_part = sum(
-        np.einsum("itig,jtjh->ijgh", b, b.conj()) for b in dec.kraus_tensors()
-    )
-    enc_part = sum(
-        np.einsum("kgka,a,lhla->kglh", a, weights, a.conj()) for a in enc.kraus_tensors()
-    )
-    d = enc.sys_in
-    return np.einsum("ijgh,kglh->ikjl", dec_part, enc_part).reshape(d * d, d * d)
+def _audit(rhs: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """Matched entries of R as a Gram matrix, and the largest |R| off them.
+
+    Zeroes the matched entries of ``rhs`` in place.
+    """
+    matched = rhs.reshape(d * d, d * d, d * d, d * d)[:: d + 1, :: d + 1, :: d + 1, :: d + 1]
+    gram = matched.transpose(0, 2, 1, 3).copy().reshape(d * d, d * d)  # [i,j,k,l] -> [(i,k),(j,l)]
+    matched[...] = 0.0
+    return gram, max_abs(rhs)
 
 
 @dataclass(frozen=True)
@@ -311,13 +321,8 @@ def verify_simulation_consistency(
 ) -> SimulationConsistencyReport:
     """Evaluate the simulation tensor everywhere and report the worst mismatched entry."""
     d = _check_simulation_dims(enc, dec, tau)
-    rhs = simulation_tensor(enc, dec, tau)
-    return SimulationConsistencyReport(
-        d=d,
-        gram_entries=_matched_entries(rhs, d),
-        max_mismatch=_mismatch_violation(rhs, d),
-        tol=tol,
-    )
+    gram, mismatch = _audit(_tensor(*_superoperators(enc, dec, as_complex_matrix(tau))), d)
+    return SimulationConsistencyReport(d=d, gram_entries=gram, max_mismatch=mismatch, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -352,72 +357,47 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def verify_dephasing_realization(
-    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float = DEFAULT_TOL
-) -> RealizationReport:
-    """Check whether (enc, dec, tau) realizes a dephasing superchannel.
+def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationReport:
+    """All four realization checks from D and E, at O(d^4 M^2) cost."""
+    d, mem = enc_op.shape[:2]
 
-    All conditions quantified over states are checked on the operator basis
-    |m><n|, which is exact by linearity. Purely diagnostic: never raises on a
-    failing realization.
-    """
-    d = _check_simulation_dims(enc, dec, tau)
-    tau = as_complex_matrix(tau)
+    # Encoder: reduced[(k,m),(l,n)] = Tr_mem N_en(|m><n| ⊗ tau)[k, l]
+    # must vanish off (k, l) == (m, n).
+    reduced = np.einsum("kgmlgn->kmln", enc_op).reshape(d * d, d * d)
+    matched = reduced[:: d + 1, :: d + 1]
+    c_en = matched.copy()
+    matched[...] = 0.0
+    enc_violation = max_abs(reduced)
 
-    # Encoder: Tr_2[N_en(|m><n| ⊗ tau)] must be supported on the (m, n) slot alone.
-    c_en = np.empty((d, d), dtype=complex)
-    enc_violation = 0.0
-    for m in range(d):
-        for n in range(d):
-            reduced = partial_trace(
-                apply_bipartite(enc, kron(basis_matrix(m, n, d), tau)),
-                (d, enc.mem_out),
-                "second",
-            )
-            c_en[m, n] = reduced[m, n]
-            off = reduced.copy()
-            off[m, n] = 0.0
-            enc_violation = max(enc_violation, max_abs(off))
+    # Conditional memory states sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h].
+    sigma = np.einsum("kgmkhm->mgh", enc_op)
 
-    # Conditional memory states sigma_m left behind by the encoder.
-    sigma = tuple(
-        partial_trace(
-            apply_bipartite(enc, kron(basis_matrix(m, m, d), tau)), (d, enc.mem_out), "first"
-        )
-        for m in range(d)
-    )
+    # Decoder: images[(i,p),(j,q),m] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
+    # must vanish off (i, j) == (p, q).
+    images = (dec_op @ sigma.reshape(d, mem * mem).T).reshape(d * d, d * d, d)
+    matched = images[:: d + 1, :: d + 1]
+    c_de = tuple(matched[:, :, m].copy() for m in range(d))
+    matched[...] = 0.0
+    worst = np.abs(images).reshape(-1, d).max(axis=0)
+    worst_m = int(np.argmax(worst))
+    dec_violation = float(worst[worst_m])
+    dec_detail = f"worst conditional memory index m={worst_m}" if dec_violation > 0.0 else ""
 
-    # Decoder: for each sigma_m, Tr_2[N_de(|p><q| ⊗ sigma_m)] supported on (p, q).
-    c_de = []
-    dec_violation = 0.0
-    dec_detail = ""
-    for m in range(d):
-        cm = np.empty((d, d), dtype=complex)
-        worst_m = 0.0
-        for p in range(d):
-            for q in range(d):
-                reduced = partial_trace(
-                    apply_bipartite(dec, kron(basis_matrix(p, q, d), sigma[m])),
-                    (d, dec.mem_out),
-                    "second",
-                )
-                cm[p, q] = reduced[p, q]
-                off = reduced.copy()
-                off[p, q] = 0.0
-                worst_m = max(worst_m, max_abs(off))
-        c_de.append(cm)
-        if worst_m > dec_violation:
-            dec_violation = worst_m
-            dec_detail = f"worst conditional memory index m={m}"
+    # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)], from the matched
+    # rows of D and the matched columns of E.
+    dec_matched = dec_op.reshape(d * d, d * d, mem * mem)[:: d + 1, :: d + 1]
+    enc_matched = np.einsum("kgklhl->ghkl", enc_op).reshape(mem * mem, d * d)
+    gram_entries = dec_matched.reshape(d * d, mem * mem) @ enc_matched  # [(i,j),(k,l)]
+    gram_entries = gram_entries.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     # Marginals of the extracted Gram matrix must reproduce c_en and c_de.
-    gram_entries = _matched_entries(simulation_tensor(enc, dec, tau), d)
-    marg_violation = max_abs(gram_entries[:d, :d] - c_en)
-    for m in range(d):
-        marg_violation = max(marg_violation, max_abs(gram_entries[m::d, m::d] - c_de[m]))
+    marg_violation = max(
+        [max_abs(gram_entries[:d, :d] - c_en)]
+        + [max_abs(gram_entries[m::d, m::d] - c_de[m]) for m in range(d)]
+    )
 
     try:
-        validate_super_gram(gram_entries, d, tol=max(tol, 1e-8))
+        validate_super_gram(gram_entries, d, tol=tol)
         gram_violation, gram_detail = 0.0, ""
     except ValidationError as exc:
         gram_violation = exc.value if exc.value is not None else np.inf
@@ -452,10 +432,39 @@ def verify_dephasing_realization(
     return RealizationReport(
         checks=checks,
         c_en=c_en,
-        c_de=tuple(c_de),
-        sigma=sigma,
+        c_de=c_de,
+        sigma=tuple(sigma),
         gram_entries=gram_entries,
     )
+
+
+def verify_dephasing_realization(
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float = DEFAULT_TOL
+) -> RealizationReport:
+    """Check whether (enc, dec, tau) realizes a dephasing superchannel.
+
+    Every condition quantified over states is checked on the operator basis
+    |m><n|, which is exact by linearity; the images of all basis operators
+    are diagonal views of the decoder and encoder superoperators. Purely
+    diagnostic: never raises on a failing realization.
+    """
+    _check_simulation_dims(enc, dec, tau)
+    return _report(*_superoperators(enc, dec, as_complex_matrix(tau)), tol)
+
+
+def _report_and_mismatch(
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float
+) -> tuple[RealizationReport, float | None]:
+    """The realization report and, only if it passes, the audit's worst mismatch.
+
+    D, E and R die with this frame: an exception raised by the caller keeps
+    its frames alive through the traceback, and must not keep them too.
+    """
+    dec_op, enc_op = _superoperators(enc, dec, tau)
+    report = _report(dec_op, enc_op, tol)
+    if not report.passed:
+        return report, None
+    return report, _audit(_tensor(dec_op, enc_op), enc_op.shape[0])[1]
 
 
 def gram_from_simulation(
@@ -465,31 +474,21 @@ def gram_from_simulation(
 
     Refuses to return a matrix unless the triple verifiably realizes a
     dephasing superchannel: the realization conditions must hold and the
-    simulation tensor must vanish at all mismatched index tuples. A diagonal
-    memory state takes the reduced classical-memory contraction.
+    simulation tensor must vanish at all mismatched index tuples. The
+    simulation tensor is not built for a triple that fails the conditions.
     """
     d = _check_simulation_dims(enc, dec, tau)
-    tau = as_complex_matrix(tau)
-
-    report = verify_dephasing_realization(enc, dec, tau, tol=tol)
+    report, mismatch = _report_and_mismatch(enc, dec, as_complex_matrix(tau), tol)
     if not report.passed:
         names = ", ".join(c.name for c in report.failed_checks())
         raise NotDephasingRealizationError(
             f"not a dephasing-superchannel realization; violated condition(s): {names}", report
         )
-    audit = verify_simulation_consistency(enc, dec, tau, tol=tol)
-    if not audit.passed:
+    if not mismatch <= tol:
         raise NotDephasingRealizationError(
-            f"simulation tensor has mismatched-index weight {audit.max_mismatch:.3e} > {tol:.1e}",
-            report,
+            f"simulation tensor has mismatched-index weight {mismatch:.3e} > {tol:.1e}", report
         )
-
-    off_diag = tau - np.diag(np.diag(tau))
-    if max_abs(off_diag) <= tol:
-        entries = _gram_classical_memory(enc, dec, np.diag(tau).real)
-    else:
-        entries = audit.gram_entries
-    return validate_super_gram(entries, d, tol=max(tol, 1e-8))
+    return validate_super_gram(report.gram_entries, d, tol=tol)
 
 
 def circuit_oracle(

@@ -283,6 +283,16 @@ def test_ppt_command(capsys, tmp_path):
     assert abs(report["value"] - (1 - np.sqrt(2))) < 1e-9
 
 
+@pytest.mark.parametrize("defect,tol,code", [(1e-6, "1e-3", 0), (1e-8, "1e-12", 1)])
+def test_ppt_checks_hermiticity_at_the_tol_flag(capsys, tmp_path, defect, tol, code):
+    mat = np.eye(4, dtype=complex)
+    mat[0, 1] = defect  # deviates from Hermitian by exactly the defect
+    path = tmp_path / "skewed.json"
+    write_matrix(path, mat)
+    assert main(["ppt", str(path), "--tol", tol]) == code
+    assert ("Hermitian" in capsys.readouterr().err) == (code == 1)
+
+
 def test_bloch_affine_command(capsys, tmp_path):
     path = tmp_path / "flip.json"
     out = tmp_path / "affine.json"

@@ -5,6 +5,7 @@ from conftest import CMAX, permutation
 from dephkit import (
     DimensionError,
     NotDephasingRealizationError,
+    apply_bipartite,
     ValidationError,
     apply_super,
     bipartite_channel,
@@ -28,7 +29,8 @@ from dephkit import (
     verify_dephasing_realization,
     verify_simulation_consistency,
 )
-from dephkit.linalg import basis_vector, is_psd, kron, max_abs
+from dephkit.linalg import basis_matrix, basis_vector, is_psd, kron, max_abs, partial_trace
+from dephkit.superchannels import simulation_tensor
 from dephkit.memory import nmr_experimental_gram
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -221,7 +223,7 @@ def test_gram_from_simulation_identity_realization():
     assert max_abs(sg.mat - np.ones((4, 4))) < 1e-12
 
 
-@pytest.mark.parametrize("d,seed", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("d,seed", [(2, 3), (3, 4), (4, 5), (5, 6)])
 def test_gram_from_simulation_matches_controlled_unitaries(d, seed):
     pre = random_controlled_family(d, seed)
     post = random_controlled_family(d, seed + 31)
@@ -267,7 +269,7 @@ def test_oracle_identity_cases():
 
 
 def test_oracle_with_mixed_memory_state():
-    # gram_from_simulation's classical fast path must agree with the circuit.
+    # A mixed diagonal memory state: gram_from_simulation must agree with the circuit.
     d = 2
     rng = np.random.default_rng(40)
     pre = random_controlled_family(d, 13)
@@ -277,7 +279,7 @@ def test_oracle_with_mixed_memory_state():
     probs = rng.dirichlet(np.ones(d * d))
     tau = np.diag(probs).astype(complex)
     sg = gram_from_simulation(enc, dec, tau)
-    # the diagonal-memory fast path must match the full-tensor extraction
+    # the Gram entries read from the superoperators must match those read off the full tensor
     audit = verify_simulation_consistency(enc, dec, tau)
     assert max_abs(audit.gram_entries - sg.mat) < 1e-12
     for chseed in range(3):
@@ -413,3 +415,218 @@ def test_marginals_match_realization_report():
     assert max_abs(report.c_en - c_en.mat) < 1e-9
     for m in range(d):
         assert max_abs(report.c_de[m] - c_de[m].mat) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# realization engine vs the per-basis reference
+# ---------------------------------------------------------------------------
+
+
+def fourier(d):
+    w = np.exp(2j * np.pi / d)
+    return np.array([[w ** (i * j) for j in range(d)] for i in range(d)]) / np.sqrt(d)
+
+
+def shift(d):
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def random_bipartite(dims, rank, rng):
+    """Random channel with the given (sys_in, mem_in, sys_out, mem_out): no dephasing structure."""
+    sys_in, mem_in, sys_out, mem_out = dims
+    rows, cols = sys_out * mem_out, sys_in * mem_in
+    g = rng.standard_normal((rank * rows, cols)) + 1j * rng.standard_normal((rank * rows, cols))
+    iso, _ = np.linalg.qr(g)
+    return bipartite_channel([iso[r * rows : (r + 1) * rows] for r in range(rank)], dims)
+
+
+def realization_triple(kind, d, seed=0):
+    """(enc, dec, tau) of one kind: genuine ones realize a superchannel, the rest break it."""
+    rng = np.random.default_rng([seed, d])
+    mem = d * d
+    dims = (d, mem, d, mem)
+
+    def controlled(rank=1):
+        weights = rng.dirichlet(np.ones(rank))
+        kraus = [
+            np.sqrt(w) * controlled_unitary_channel(
+                random_controlled_family(d, int(rng.integers(2**31)))
+            ).inner.kraus[0]
+            for w in weights
+        ]
+        return bipartite_channel(kraus, dims)
+
+    if kind == "diag":
+        return controlled(), controlled(), np.diag(rng.dirichlet(np.ones(mem))).astype(complex)
+    if kind in ("coherent", "kraus-rank-2"):
+        rank = 2 if kind == "kraus-rank-2" else 1
+        v = rng.standard_normal(mem) + 1j * rng.standard_normal(mem)
+        v /= np.linalg.norm(v)
+        return controlled(rank), controlled(rank), np.outer(v, v.conj())
+    if kind == "identity":
+        ident = identity_bipartite(d, 3)
+        return ident, ident, random_density_matrix(3, seed)
+    if kind == "unequal-memories":
+        enc = random_bipartite((d, 2, d, 3), 2, rng)
+        dec = random_bipartite((d, 3, d, 2), 2, rng)
+        return enc, dec, random_density_matrix(2, seed)
+    fourier_channel = bipartite_channel([kron(fourier(d), np.eye(mem))], dims)
+    tau = pure_memory_state(mem)
+    if kind == "non-mio-encoder":
+        return fourier_channel, controlled(), tau
+    if kind == "coherence-consuming-decoder":
+        return controlled(), fourier_channel, tau
+    if kind == "wrong-memory-wiring":
+        # The encoder stores level m in memory level m; the decoder shifts the
+        # system exactly when the memory reads level 1.
+        store = controlled_unitary_family(
+            [np.eye(mem, dtype=complex)] + [permutation(mem, 0, m) for m in range(1, d)]
+        )
+        flip = sum(
+            kron(shift(d) if level == 1 else np.eye(d), basis_matrix(level, level, mem))
+            for level in range(mem)
+        )
+        return controlled_unitary_channel(store), bipartite_channel([flip], dims), tau
+    raise ValueError(kind)
+
+
+ENGINE_KINDS = (
+    "diag", "coherent", "kraus-rank-2", "identity", "unequal-memories",
+    "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring",
+)
+
+
+def reference_tensor(enc, dec, tau):
+    """The simulation tensor R[i,j,p,q,k,l,m,n] by the defining einsum formula."""
+    dec_part = sum(np.einsum("itpg,jtqh->ijpgqh", b, b.conj()) for b in dec.kraus_tensors())
+    enc_part = sum(
+        np.einsum("kgma,ab,lhnb->kglhmn", a, tau, a.conj()) for a in enc.kraus_tensors()
+    )
+    return np.einsum("ijpgqh,kglhmn->ijpqklmn", dec_part, enc_part)
+
+
+def reference_evaluation(enc, dec, tau, tol=1e-9):
+    """Every realization quantity evaluated basis operator by basis operator."""
+    d, mem = enc.sys_in, enc.mem_out
+    c_en = np.empty((d, d), dtype=complex)
+    enc_violation = 0.0
+    for m in range(d):
+        for n in range(d):
+            image = apply_bipartite(enc, kron(basis_matrix(m, n, d), tau))
+            reduced = partial_trace(image, (d, mem), "second").copy()
+            c_en[m, n] = reduced[m, n]
+            reduced[m, n] = 0.0
+            enc_violation = max(enc_violation, max_abs(reduced))
+    sigma = [
+        partial_trace(apply_bipartite(enc, kron(basis_matrix(m, m, d), tau)), (d, mem), "first")
+        for m in range(d)
+    ]
+    c_de = []
+    dec_violation = 0.0
+    for sigma_m in sigma:
+        cm = np.empty((d, d), dtype=complex)
+        for p in range(d):
+            for q in range(d):
+                image = apply_bipartite(dec, kron(basis_matrix(p, q, d), sigma_m))
+                reduced = partial_trace(image, (d, dec.mem_out), "second").copy()
+                cm[p, q] = reduced[p, q]
+                reduced[p, q] = 0.0
+                dec_violation = max(dec_violation, max_abs(reduced))
+        c_de.append(cm)
+
+    rhs = reference_tensor(enc, dec, tau)
+    gram = np.empty((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    gram[i * d + k, j * d + l] = rhs[i, j, i, j, k, l, k, l]
+    ii, jj, pp, qq, kk, ll, mm, nn = np.ix_(*[np.arange(d)] * 8)
+    matched = (pp == ii) & (qq == jj) & (mm == kk) & (nn == ll)
+    max_mismatch = max_abs(rhs[~np.broadcast_to(matched, rhs.shape)])
+
+    marg_violation = max(
+        [max_abs(gram[:d, :d] - c_en)] + [max_abs(gram[m::d, m::d] - c_de[m]) for m in range(d)]
+    )
+    try:
+        validate_super_gram(gram, d, tol=tol)
+        gram_violation = 0.0
+    except ValidationError as exc:
+        gram_violation = exc.value
+    values = {
+        "encoder-dephasing": enc_violation,
+        "decoder-dephasing": dec_violation,
+        "marginal-consistency": marg_violation,
+        "gram-structure": gram_violation,
+    }
+    return {
+        "checks": [(name, value <= tol, value) for name, value in values.items()],
+        "c_en": c_en,
+        "sigma": sigma,
+        "c_de": c_de,
+        "gram": gram,
+        "max_mismatch": max_mismatch,
+        "tensor": rhs,
+    }
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_engine_matches_per_basis_reference(kind, d):
+    enc, dec, tau = realization_triple(kind, d)
+    ref = reference_evaluation(enc, dec, tau)
+    report = verify_dephasing_realization(enc, dec, tau)
+    assert [(c.name, c.passed) for c in report.checks] == [(n, p) for n, p, _ in ref["checks"]]
+    for check, (_, _, value) in zip(report.checks, ref["checks"]):
+        assert abs(check.max_violation - value) <= 1e-12, check.name
+    assert max_abs(report.c_en - ref["c_en"]) <= 1e-12
+    for m in range(d):
+        assert max_abs(report.sigma[m] - ref["sigma"][m]) <= 1e-12
+        assert max_abs(report.c_de[m] - ref["c_de"][m]) <= 1e-12
+    assert max_abs(report.gram_entries - ref["gram"]) <= 1e-12
+
+    audit = verify_simulation_consistency(enc, dec, tau)
+    assert abs(audit.max_mismatch - ref["max_mismatch"]) <= 1e-12
+    assert max_abs(audit.gram_entries - ref["gram"]) <= 1e-12
+    tensor = simulation_tensor(enc, dec, tau)
+    assert tensor.shape == (d,) * 8
+    assert max_abs(tensor - ref["tensor"]) <= 1e-12
+
+    genuine = kind in ("diag", "coherent", "kraus-rank-2", "identity")
+    assert report.passed == genuine
+    if genuine:
+        assert max_abs(gram_from_simulation(enc, dec, tau).mat - ref["gram"]) <= 1e-12
+
+
+def test_gram_structure_uses_callers_tol():
+    # Every realization check passes at tol 1e-9 (encoder and decoder at
+    # 4.5e-10, marginals at 9e-10), but the extracted unit diagonal is off by
+    # 1.8e-9: the Gram check must hold the triple to the same tol.
+    d, p = 3, 0.9e-9
+    kraus = [np.sqrt(1 - p) * np.eye(d)] + [
+        np.sqrt(p / 2) * np.linalg.matrix_power(shift(d), s) for s in (1, 2)
+    ]
+    noisy = bipartite_channel(kraus, (d, 1, d, 1))
+    tau = np.ones((1, 1), dtype=complex)
+    with pytest.raises(NotDephasingRealizationError) as err:
+        gram_from_simulation(noisy, noisy, tau, tol=1e-9)
+    failed = {c.name: c.max_violation for c in err.value.report.failed_checks()}
+    assert set(failed) == {"gram-structure"}
+    assert failed["gram-structure"] == pytest.approx(1.8e-9, rel=1e-6)
+    assert max_abs(np.diag(gram_from_simulation(noisy, noisy, tau, tol=1e-8).mat) - 1) > 1e-9
+
+
+def test_reject_holds_no_large_arrays():
+    # A caller that keeps the exception keeps every frame of its traceback
+    # alive; those frames must not hold the d^4 x M^2 superoperators.
+    enc, dec, tau = realization_triple("non-mio-encoder", 4)
+    with pytest.raises(NotDephasingRealizationError) as err:
+        gram_from_simulation(enc, dec, tau)
+    held = {}
+    tb = err.value.__traceback__
+    while tb is not None:
+        for value in tb.tb_frame.f_locals.values():
+            if isinstance(value, np.ndarray):
+                held[id(value)] = value.nbytes
+        tb = tb.tb_next
+    assert sum(held.values()) <= 64 * 1024
