@@ -16,21 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    apply_channel,
-    jamiolkowski_tp_defect,
-    max_entangled_state,
-)
+from .channels import Channel, apply_channel, max_entangled_state
 from .errors import DimensionError, ValidationError
-from .linalg import (
-    DEFAULT_TOL,
-    as_complex_matrix,
-    is_hermitian,
-    max_abs,
-    min_eig_hermitian,
-    readonly_copy,
-)
+from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs, readonly_copy, require
 from .superchannels import SuperGram
 
 SIGMA = (
@@ -143,18 +131,8 @@ def gram_action_on_affine(sg: SuperGram, a: AffineMap, tol: float = DEFAULT_TOL)
     if sg.d != 2:
         raise DimensionError(f"affine action is defined for qubit superchannels, got d={sg.d}")
     jam_out = jamiolkowski_from_affine(a) * sg.mat
-    if not is_hermitian(jam_out, tol):
-        raise ValidationError("jamiolkowski-hermitian", "transformed matrix is not Hermitian")
-    lo = min_eig_hermitian(jam_out, hermiticity_tol=np.inf)
-    if lo < -tol:
-        raise ValidationError(
-            "jamiolkowski-psd", f"transformed matrix has eigenvalue {lo:.3e}; input map not CP", -lo
-        )
-    defect = jamiolkowski_tp_defect(jam_out, 2)
-    if defect > tol:
-        raise ValidationError(
-            "jamiolkowski-tp", f"transformed matrix violates the TP marginal by {defect:.3e}", defect
-        )
+    checks = ("jamiolkowski-hermitian", "jamiolkowski-psd", "jamiolkowski-tp")
+    require(jam_out, checks, tol, "transformed matrix")
     return affine_from_jamiolkowski(jam_out)
 
 

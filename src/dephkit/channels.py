@@ -2,8 +2,9 @@
 
 Channels are stored canonically as Kraus operator lists; the superoperator
 and Jamiolkowski representations are derived views, recomputed on demand.
-States, Gram matrices and transition matrices are validated at construction
-and never silently repaired.
+States, Gram matrices, channels and classical actions are validated at
+construction, against the checks of the linalg measure layer, and never
+silently repaired.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from .linalg import (
     basis_matrix,
     dagger,
     hermitize,
-    is_hermitian,
     kron,
     max_abs,
-    min_eig_hermitian,
-    partial_trace,
     readonly_copy,
+    require,
     reshuffle,
 )
 
@@ -32,16 +31,7 @@ from .linalg import (
 def density_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace and PSD within tol."""
     rho = as_complex_matrix(mat)
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    if not is_hermitian(rho, tol):
-        raise ValidationError("hermitian", "state is not Hermitian within tolerance")
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > tol:
-        raise ValidationError("unit-trace", f"trace deviates from 1 by {tr_dev:.3e}", tr_dev)
-    lo = min_eig_hermitian(rho, hermiticity_tol=np.inf)
-    if lo < -tol:
-        raise ValidationError("psd", f"smallest eigenvalue {lo:.3e} < -{tol:.3e}", -lo)
+    require(rho, ("hermitian", "unit-trace", "psd"), tol, "state")
     return rho
 
 
@@ -76,18 +66,14 @@ class Channel:
 
     def __post_init__(self, tol: float):
         if not self.kraus:
-            raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator")
+            raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator", 0)
         for k in self.kraus:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimensionError(
                     f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
                 )
         if self.trace_preserving:
-            dev = max_abs(self.kraus_sum() - np.eye(self.dim_in))
-            if dev > tol:
-                raise ValidationError(
-                    "trace-preserving", f"sum K†K deviates from identity by {dev:.3e}", dev
-                )
+            require(self.kraus, ("trace-preserving",), tol, "channel")
 
     def kraus_sum(self) -> np.ndarray:
         return sum(dagger(k) @ k for k in self.kraus)
@@ -96,9 +82,7 @@ class Channel:
 def channel_from_kraus(kraus, trace_preserving: bool = True, tol: float = DEFAULT_TOL) -> Channel:
     """Build a Channel from an iterable of equal-shape Kraus matrices, TP within tol when asked."""
     ops = tuple(readonly_copy(as_complex_matrix(k)) for k in kraus)
-    if not ops:
-        raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator")
-    rows, cols = ops[0].shape
+    rows, cols = ops[0].shape if ops else (0, 0)  # Channel refuses an empty list
     return Channel(kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=trace_preserving, tol=tol)
 
 
@@ -185,16 +169,7 @@ class GramMatrix:
 def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
     """Validate a Gram matrix: PSD within tol with all diagonal entries 1 within tol."""
     m = as_complex_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"Gram matrix must be square, got {m.shape}")
-    diag_dev = max_abs(np.diag(m) - 1.0)
-    if diag_dev > tol:
-        raise ValidationError("unit-diagonal", f"diagonal deviates from 1 by {diag_dev:.3e}", diag_dev)
-    if not is_hermitian(m, tol):
-        raise ValidationError("hermitian", "Gram matrix is not Hermitian within tolerance")
-    lo = min_eig_hermitian(m, hermiticity_tol=np.inf)
-    if lo < -tol:
-        raise ValidationError("psd", f"smallest eigenvalue {lo:.3e} < -{tol:.3e}", -lo)
+    require(m, ("unit-diagonal", "hermitian", "psd"), tol, "Gram matrix")
     return GramMatrix(mat=readonly_copy(m))
 
 
@@ -223,28 +198,18 @@ def maximally_dephasing_channel(d: int) -> Channel:
     return dephasing_channel(gram_matrix(np.eye(d)))
 
 
-def transition_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a column-stochastic transition matrix with entries in [0, 1]."""
-    t = np.asarray(mat, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionError(f"transition matrix must be square, got {t.shape}")
-    if t.min() < -tol or t.max() > 1 + tol:
-        raise ValidationError("entry-range", "entries fall outside [0, 1]")
-    col_dev = max_abs(t.sum(axis=0) - 1.0)
-    if col_dev > tol:
-        raise ValidationError("column-stochastic", f"column sums deviate by {col_dev:.3e}", col_dev)
-    return t
-
-
 def classical_action(ch: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transition matrix T[i, j] = <i|E(|j><j|)|i> of a trace-preserving channel."""
+    """Transition matrix T[i, j] = <i|E(|j><j|)|i> of a trace-preserving channel.
+
+    Its entries are sums of squared moduli, so nonnegative, and each is at
+    most its column sum, which is checked to be 1 within tol.
+    """
     if ch.dim_in != ch.dim_out:
         raise DimensionError("classical action requires dim_in == dim_out")
-    dev = max_abs(ch.kraus_sum() - np.eye(ch.dim_in))
-    if dev > tol:
-        raise ValidationError("trace-preserving", f"channel is not TP within {tol:.1e}", dev)
+    require(ch.kraus, ("trace-preserving",), tol, "channel")
     t = sum(np.abs(k) ** 2 for k in ch.kraus)
-    return transition_matrix(t.real, tol=tol)
+    require(t, ("column-stochastic",), tol, "transition matrix")
+    return t
 
 
 def is_mio(ch: Channel, tol: float = DEFAULT_TOL) -> bool:
@@ -283,13 +248,3 @@ def random_channel(d: int, env_dim: int = 2, seed: int = 0) -> Channel:
     w, _ = np.linalg.qr(z)
     blocks = w.reshape(d, env_dim, d)
     return channel_from_kraus([blocks[:, n, :] for n in range(env_dim)])
-
-
-def tp_defect(ch: Channel) -> float:
-    """Max-entry deviation of sum K†K from the identity."""
-    return max_abs(ch.kraus_sum() - np.eye(ch.dim_in))
-
-
-def jamiolkowski_tp_defect(jam: np.ndarray, d: int) -> float:
-    """Max-entry deviation of Tr_1 J from I/d."""
-    return max_abs(partial_trace(jam, (d, d), "first") - np.eye(d) / d)

@@ -17,12 +17,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import bloch, channels, io, memory, superchannels
-from .errors import DephkitError, NotDephasingRealizationError
+from .errors import DephkitError, NotDephasingRealizationError, ValidationError
 from .io import FileFormatError
-from .linalg import DEFAULT_TOL, max_abs, min_eig_hermitian
+from .linalg import DEFAULT_TOL, max_abs, measure, violation
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -92,20 +90,19 @@ def _side_to_d(side: int) -> int:
     return d
 
 
-def _gram_diagnostics(mat: np.ndarray, d: int, tol: float, report: Report) -> bool:
-    """Measure every superchannel Gram invariant; append detail lines; return overall pass."""
-    diag_dev = max_abs(np.diag(mat) - 1.0)
-    herm_dev = max_abs(mat - mat.conj().T)
-    lo = min_eig_hermitian(mat, hermiticity_tol=np.inf)
-    c00 = mat[:d, :d]
-    block_dev = max(
-        max_abs(mat[i * d : (i + 1) * d, i * d : (i + 1) * d] - c00) for i in range(d)
-    )
-    report.add("unit diagonal deviation (Gram matrix)", diag_dev, tol)
-    report.add("hermiticity deviation (Gram matrix)", herm_dev, tol)
-    report.add("smallest eigenvalue (positive semidefiniteness)", lo, -tol)
-    report.add("repeated diagonal block deviation (superchannel structure)", block_dev, tol)
-    return diag_dev <= tol and herm_dev <= tol and lo >= -tol and block_dev <= tol
+_GRAM_LABELS = {
+    "unit-diagonal": "unit diagonal deviation (Gram matrix)",
+    "hermitian": "hermiticity deviation (Gram matrix)",
+    "psd": "smallest eigenvalue (positive semidefiniteness)",
+    "equal-diagonal-blocks": "repeated diagonal block deviation (superchannel structure)",
+}
+
+
+def _add_gram_lines(report: Report, deviations, tol: float) -> None:
+    """One detail line per Gram invariant; the psd line shows the smallest eigenvalue against -tol."""
+    for check, value in deviations.items():
+        sign = -1 if check == "psd" else 1
+        report.add(_GRAM_LABELS[check], sign * value, sign * tol)
 
 
 def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
@@ -115,19 +112,26 @@ def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
 
 def cmd_gram_validate(args) -> int:
     mat = io.read_matrix(args.file)
-    report = Report(verdict="pass", provenance=_provenance(args.file))
-    d = _side_to_d(mat.shape[0])
-    ok = _gram_diagnostics(mat, d, args.tol, report)
-    report.verdict = "pass" if ok else "fail"
+    _side_to_d(mat.shape[0])  # the block check needs a side of d^2
+    deviations = measure(mat, superchannels.SUPER_GRAM_CHECKS)
+    ok = violation(deviations, args.tol) is None
+    report = Report(verdict="pass" if ok else "fail", provenance=_provenance(args.file))
+    _add_gram_lines(report, deviations, args.tol)
     _emit(report, args)
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
 def cmd_gram_from_unitaries(args) -> int:
-    pre, post = io.read_family_pair(args.file)
-    sg = superchannels.gram_from_controlled_unitaries(pre, post)
     report = Report(verdict="pass", provenance=_provenance(args.file))
-    _gram_diagnostics(sg.mat, sg.d, args.tol, report)
+    try:
+        pre, post = io.read_family_pair(args.file, tol=args.tol)
+        sg = superchannels.gram_from_controlled_unitaries(pre, post, tol=args.tol)
+    except ValidationError as exc:
+        report.verdict = "fail"
+        report.add(f"violated invariant: {exc.check}", exc.value, args.tol)
+        _emit(report, args)
+        return EXIT_DOMAIN
+    _add_gram_lines(report, sg.deviations, args.tol)
     if args.out:
         io.write_matrix(args.out, sg.mat)
     _emit(report, args)
@@ -135,8 +139,8 @@ def cmd_gram_from_unitaries(args) -> int:
 
 
 def cmd_gram_from_simulation(args) -> int:
-    enc = io.read_bipartite(args.enc)
-    dec = io.read_bipartite(args.dec)
+    enc = io.read_bipartite(args.enc, tol=args.tol)
+    dec = io.read_bipartite(args.dec, tol=args.tol)
     tau = channels.density_matrix(io.read_matrix(args.tau), tol=args.tol)
     report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
     try:
@@ -147,7 +151,7 @@ def cmd_gram_from_simulation(args) -> int:
             report.add(f"violated realization condition: {check.name}", check.max_violation, args.tol)
         _emit(report, args)
         return EXIT_DOMAIN
-    _gram_diagnostics(sg.mat, sg.d, args.tol, report)
+    _add_gram_lines(report, sg.deviations, args.tol)
     if args.out:
         io.write_matrix(args.out, sg.mat)
     _emit(report, args)
@@ -158,7 +162,9 @@ def cmd_apply(args) -> int:
     ch = io.read_channel(args.channel, tol=args.tol)
     sg = _read_super_gram(args.gram, args.tol)
     out_ch = superchannels.apply_super(sg, ch, tol=args.tol)
-    residual = max_abs(channels.classical_action(out_ch) - channels.classical_action(ch))
+    residual = max_abs(
+        channels.classical_action(out_ch, tol=args.tol) - channels.classical_action(ch, tol=args.tol)
+    )
     report = Report(verdict="pass", provenance=_provenance(args.channel, args.gram))
     report.add("classical action invariance residual", residual, args.tol)
     report.add("coherence generating power before", channels.coherence_generating_power(ch))
@@ -172,8 +178,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify_realization(args) -> int:
-    enc = io.read_bipartite(args.enc)
-    dec = io.read_bipartite(args.dec)
+    enc = io.read_bipartite(args.enc, tol=args.tol)
+    dec = io.read_bipartite(args.dec, tol=args.tol)
     tau = channels.density_matrix(io.read_matrix(args.tau), tol=args.tol)
     report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
     result = superchannels.verify_dephasing_realization(enc, dec, tau, tol=args.tol)
@@ -289,7 +295,7 @@ def cmd_bloch_affine(args) -> int:
 def cmd_demo_nmr(args) -> int:
     sg = memory.nmr_experimental_gram()
     report = Report(verdict="value")
-    _gram_diagnostics(sg.mat, 2, memory.NMR_VALIDATION_TOL, report)
+    _add_gram_lines(report, sg.deviations, memory.NMR_VALIDATION_TOL)
     activity = memory.memory_activity_qubit(sg)
     report.value = activity
     report.add("memory activity (l1 distance to the passive set)", activity)

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski_tp_defect
+from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus
 from .errors import DephkitError
-from .linalg import DEFAULT_TOL, as_complex_matrix, is_psd
-from .superchannels import BipartiteChannel, bipartite_channel
+from .linalg import DEFAULT_TOL, as_complex_matrix, measure, violation
+from .superchannels import BipartiteChannel, bipartite_channel, controlled_unitary_family
 
 
 class FileFormatError(DephkitError):
@@ -111,12 +111,10 @@ def _channel_from_obj(obj, tol: float) -> Channel:
         return channel_from_kraus(ops, tol=tol)
     if kind == "jamiolkowski":
         mat = matrix_from_obj(obj["matrix"] if "matrix" in obj else obj)
-        d = round(mat.shape[0] ** 0.5)
         if obj.get("kind") is None:
-            if not is_psd(mat, max(tol, 1e-7)) or jamiolkowski_tp_defect(mat, d) > max(tol, 1e-7):
-                raise FileFormatError(
-                    "untagged matrix failed the Jamiolkowski PSD/trace audit; tag the file"
-                )
+            exc = violation(measure(mat, ("hermitian", "psd", "jamiolkowski-tp")), tol, "J")
+            if exc is not None:
+                raise FileFormatError(f"untagged matrix failed the Jamiolkowski PSD/trace audit ({exc}); tag the file")
         return channel_from_jamiolkowski(mat, tol=tol)
     raise FileFormatError(f"unknown channel kind {kind!r}")
 
@@ -137,14 +135,14 @@ def write_bipartite(path, bc: BipartiteChannel) -> None:
     _dump_json(path, obj)
 
 
-def read_bipartite(path) -> BipartiteChannel:
+def read_bipartite(path, tol: float = DEFAULT_TOL) -> BipartiteChannel:
     obj = _load_json(path)
     try:
         dims = (int(obj["sys_in"]), int(obj["mem_in"]), int(obj["sys_out"]), int(obj["mem_out"]))
         ops = [matrix_from_obj(k) for k in obj["kraus"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed bipartite channel file: {exc}") from exc
-    return bipartite_channel(ops, dims)
+    return bipartite_channel(ops, dims, tol=tol)
 
 
 def write_family_pair(path, pre, post) -> None:
@@ -156,13 +154,11 @@ def write_family_pair(path, pre, post) -> None:
     _dump_json(path, obj)
 
 
-def read_family_pair(path):
-    from .superchannels import controlled_unitary_family
-
+def read_family_pair(path, tol: float = DEFAULT_TOL):
     obj = _load_json(path)
     try:
-        pre = controlled_unitary_family([matrix_from_obj(u) for u in obj["pre"]])
-        post = controlled_unitary_family([matrix_from_obj(u) for u in obj["post"]])
+        pre = controlled_unitary_family([matrix_from_obj(u) for u in obj["pre"]], tol=tol)
+        post = controlled_unitary_family([matrix_from_obj(u) for u in obj["post"]], tol=tol)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed unitary family file: {exc}") from exc
     return pre, post

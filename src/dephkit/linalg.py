@@ -8,6 +8,8 @@ package: the pair ``(a, b)`` with ``b`` ranging over ``dim_b`` maps to
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+from math import isqrt
 from typing import Literal
 
 import numpy as np
@@ -25,7 +27,8 @@ def as_complex_matrix(m) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise ValidationError("finite-entries", "matrix contains NaN or Inf entries")
+        bad = int((~np.isfinite(arr)).sum())
+        raise ValidationError("finite-entries", f"matrix contains {bad} NaN or Inf entries", bad)
     return arr
 
 
@@ -129,30 +132,102 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(m)
-    return m.shape[0] == m.shape[1] and max_abs(m - dagger(m)) <= tol
+# Measure layer: each named invariant is measured by one function, as a finite
+# deviation that passes a check at tolerance tol when it is <= tol. Validators
+# raise from ``require``; the CLI renders ``measure``.
+
+
+def _unit_diagonal(m: np.ndarray) -> float:
+    return max_abs(np.diag(m) - 1.0)
+
+
+def _hermitian(m: np.ndarray) -> float:
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"Hermiticity is defined for square matrices, got {m.shape}")
+    return max_abs(m - dagger(m))
+
+
+def _psd(m: np.ndarray) -> float:
+    """-λ_min of the Hermitian part, negative when m is positive definite; measured after "hermitian",
+    which refuses a non-square m."""
+    return -float(np.linalg.eigvalsh(hermitize(m))[0])
+
+
+def _unit_trace(m: np.ndarray) -> float:
+    return float(abs(np.trace(m) - 1.0))
+
+
+def _equal_diagonal_blocks(m: np.ndarray) -> float:
+    """Largest entry difference between a d x d diagonal block of a d^2 x d^2 matrix and the first."""
+    d = isqrt(m.shape[0])
+    c00 = m[:d, :d]
+    return max(max_abs(m[i * d : (i + 1) * d, i * d : (i + 1) * d] - c00) for i in range(d))
+
+
+def _trace_preserving(kraus) -> float:
+    """max |sum K†K - I| over a sequence of Kraus operators."""
+    return max_abs(sum(dagger(k) @ k for k in kraus) - np.eye(kraus[0].shape[1]))
+
+
+def _jamiolkowski_tp(jam: np.ndarray) -> float:
+    """max |Tr_1 J - I/d| of a d^2 x d^2 Jamiolkowski matrix."""
+    d = isqrt(jam.shape[0])
+    return max_abs(partial_trace(jam, (d, d), "first") - np.eye(d) / d)
+
+
+def _column_stochastic(t: np.ndarray) -> float:
+    return max_abs(t.sum(axis=0) - 1.0)
+
+
+# check name -> (deviation, what the error message says deviates)
+_CHECKS = {
+    "unit-diagonal": (_unit_diagonal, "diagonal deviates from 1 by"),
+    "hermitian": (_hermitian, "deviation from Hermitian is"),
+    "psd": (_psd, "smallest eigenvalue lies below 0 by"),
+    "unit-trace": (_unit_trace, "trace deviates from 1 by"),
+    "equal-diagonal-blocks": (_equal_diagonal_blocks, "diagonal blocks differ by"),
+    "trace-preserving": (_trace_preserving, "sum K†K deviates from identity by"),
+    "jamiolkowski-tp": (_jamiolkowski_tp, "Tr_1 J deviates from I/d by"),
+    "unitary": (lambda u: _trace_preserving((u,)), "deviation from unitarity is"),  # u†u = I
+    "column-stochastic": (_column_stochastic, "column sums deviate from 1 by"),
+}
+# The same invariants, named for the transformed Jamiolkowski states they are checked on.
+_CHECKS["jamiolkowski-hermitian"] = _CHECKS["hermitian"]
+_CHECKS["jamiolkowski-psd"] = _CHECKS["psd"]
+_CHECKS["superchannel-output-tp"] = _CHECKS["jamiolkowski-tp"]
+
+
+def measure(x, checks: Iterable[str]) -> dict[str, float]:
+    """Deviation of x from each named invariant, in the order given."""
+    return {name: _CHECKS[name][0](x) for name in checks}
+
+
+def violation(deviations: Mapping[str, float], tol: float, subject: str = "matrix") -> ValidationError | None:
+    """The error for the first deviation above tol, or None when every check passes."""
+    for name, value in deviations.items():
+        if value > tol:
+            return ValidationError(name, f"{subject}: {_CHECKS[name][1]} {value:.3e} > {tol:.3e}", value)
+    return None
+
+
+def require(x, checks: Iterable[str], tol: float, subject: str = "matrix") -> dict[str, float]:
+    """Measure x; raise the ValidationError of the first check above tol, else return the deviations."""
+    deviations = measure(x, checks)
+    if (exc := violation(deviations, tol, subject)) is not None:
+        raise exc
+    return deviations
 
 
 def min_eig_hermitian(m: np.ndarray, hermiticity_tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of (m + m†)/2; rejects visibly non-Hermitian input."""
     m = as_complex_matrix(m)
-    dev = max_abs(m - dagger(m))
-    if dev > hermiticity_tol:
-        raise ValidationError(
-            "hermitian", f"matrix deviates from Hermitian by {dev:.3e} > {hermiticity_tol:.3e}", dev
-        )
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
+    require(m, ("hermitian",), hermiticity_tol)
+    return -_psd(m)
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"positivity is defined for square matrices, got {m.shape}")
-    if not is_hermitian(m, tol):
-        return False
-    return min_eig_hermitian(m, hermiticity_tol=np.inf) >= -tol
+    return violation(measure(as_complex_matrix(m), ("hermitian", "psd")), tol) is None
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

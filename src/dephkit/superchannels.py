@@ -31,7 +31,9 @@ stride d + 1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .channels import (
     channel_from_kraus,
     gram_matrix,
     jamiolkowski,
-    jamiolkowski_tp_defect,
 )
 from .errors import DimensionError, NotDephasingRealizationError, ValidationError
 from .linalg import (
@@ -51,21 +52,30 @@ from .linalg import (
     basis_matrix,
     basis_vector,
     dagger,
-    is_hermitian,
     kron,
     max_abs,
-    min_eig_hermitian,
+    measure,
     random_unitary,
     readonly_copy,
+    require,
+    violation,
 )
+
+# The invariants of a superchannel Gram matrix, in the order they are checked.
+SUPER_GRAM_CHECKS = ("unit-diagonal", "hermitian", "psd", "equal-diagonal-blocks")
 
 
 @dataclass(frozen=True)
 class SuperGram:
-    """Gram matrix of a dephasing superchannel acting on d-dimensional channels."""
+    """Gram matrix of a dephasing superchannel acting on d-dimensional channels.
+
+    ``deviations`` holds the measured deviation of ``mat`` from each of
+    SUPER_GRAM_CHECKS, taken when it was validated (empty if it never was).
+    """
 
     d: int
     mat: np.ndarray = field(repr=False)
+    deviations: Mapping[str, float] = field(default_factory=dict, repr=False, compare=False)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -78,38 +88,24 @@ class SuperGram:
 def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
     """Validate the defining invariants of a dephasing-superchannel Gram matrix.
 
-    Raises ValidationError with a distinct check name per violated invariant:
-    unit diagonal, Hermiticity, positive semidefiniteness, equality of all
-    diagonal blocks, and validity of the shared diagonal block.
+    Raises ValidationError with a distinct check name per violated invariant,
+    in the order of SUPER_GRAM_CHECKS: unit diagonal, Hermiticity, positive
+    semidefiniteness and equality of all diagonal blocks. These imply that
+    the shared diagonal block is itself a Gram matrix (its PSD check by
+    Cauchy interlacing).
     """
     m = as_complex_matrix(mat)
     if d < 2:
         raise DimensionError(f"system dimension must be >= 2, got d={d}")
     if m.shape != (d * d, d * d):
         raise DimensionError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    diag_dev = max_abs(np.diag(m) - 1.0)
-    if diag_dev > tol:
-        raise ValidationError("unit-diagonal", f"diagonal deviates from 1 by {diag_dev:.3e}", diag_dev)
-    if not is_hermitian(m, tol):
-        raise ValidationError("hermitian", "matrix is not Hermitian within tolerance")
-    lo = min_eig_hermitian(m, hermiticity_tol=np.inf)
-    if lo < -tol:
-        raise ValidationError("psd", f"smallest eigenvalue {lo:.3e} < -{tol:.3e}", -lo)
-    c00 = m[:d, :d]
-    block_dev = max(
-        max_abs(m[i * d : (i + 1) * d, i * d : (i + 1) * d] - c00) for i in range(d)
-    )
-    if block_dev > tol:
-        raise ValidationError(
-            "equal-diagonal-blocks", f"diagonal blocks differ by {block_dev:.3e}", block_dev
-        )
-    gram_matrix(c00, tol=tol)  # shared diagonal block must itself be a Gram matrix
-    return SuperGram(d=d, mat=readonly_copy(m))
+    deviations = require(m, SUPER_GRAM_CHECKS, tol, "Gram matrix")
+    return SuperGram(d=d, mat=readonly_copy(m), deviations=MappingProxyType(deviations))
 
 
 def identity_super_gram(d: int) -> SuperGram:
     """All-ones matrix: the superchannel that leaves every channel unchanged."""
-    return SuperGram(d=d, mat=readonly_copy(np.ones((d * d, d * d), dtype=complex)))
+    return validate_super_gram(np.ones((d * d, d * d), dtype=complex), d)
 
 
 def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel:
@@ -119,16 +115,12 @@ def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel
             f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal the superchannel's d={sg.d}"
         )
     jam_out = jamiolkowski(ch) * sg.mat
-    defect = jamiolkowski_tp_defect(jam_out, sg.d)
-    if defect > tol:
-        raise ValidationError(
-            "superchannel-output-tp", f"transformed channel violates TP by {defect:.3e}", defect
-        )
+    require(jam_out, ("superchannel-output-tp",), tol, "transformed channel")
     try:
         return channel_from_jamiolkowski(jam_out, tol=tol)
     except ValidationError as exc:
         raise ValidationError(
-            "superchannel-output-cp", f"transformed channel failed CP validation: {exc}"
+            "superchannel-output-cp", f"transformed channel failed CP validation: {exc}", exc.value
         ) from exc
 
 
@@ -153,9 +145,7 @@ def controlled_unitary_family(unitaries, tol: float = DEFAULT_TOL) -> Controlled
     for idx, u in enumerate(mats):
         if u.shape != (d * d, d * d):
             raise DimensionError(f"member {idx} has shape {u.shape}, expected {(d * d, d * d)}")
-        dev = max_abs(dagger(u) @ u - np.eye(d * d))
-        if dev > tol:
-            raise ValidationError("unitary", f"member {idx} deviates from unitarity by {dev:.3e}", dev)
+        require(u, ("unitary",), tol, f"member {idx}")
     return ControlledUnitaryFamily(d=d, unitaries=tuple(readonly_copy(u) for u in mats))
 
 
@@ -165,9 +155,9 @@ def random_controlled_family(d: int, seed: int) -> ControlledUnitaryFamily:
 
 
 def gram_from_controlled_unitaries(
-    pre: ControlledUnitaryFamily, post: ControlledUnitaryFamily
+    pre: ControlledUnitaryFamily, post: ControlledUnitaryFamily, tol: float = DEFAULT_TOL
 ) -> SuperGram:
-    """Gram matrix of the vectors V_i U_k |0>, addressed as [(i,k), (j,l)].
+    """Gram matrix of the vectors V_i U_k |0>, addressed as [(i,k), (j,l)], validated at tol.
 
     Entry [(i,k), (j,l)] is <0| U_l† V_j† V_i U_k |0> with |0> the first basis
     vector of the d^2-dimensional memory.
@@ -181,7 +171,7 @@ def gram_from_controlled_unitaries(
         for k in range(d):
             vecs[:, i * d + k] = post.unitaries[i] @ (pre.unitaries[k] @ e0)
     overlaps = dagger(vecs) @ vecs  # overlaps[a, b] = <psi_a | psi_b>
-    return validate_super_gram(overlaps.T, d)
+    return validate_super_gram(overlaps.T, d, tol=tol)
 
 
 def random_super_gram(d: int, seed: int) -> SuperGram:
@@ -212,10 +202,12 @@ class BipartiteChannel:
         return [k.reshape(shape) for k in self.inner.kraus]
 
 
-def bipartite_channel(kraus, dims: tuple[int, int, int, int]) -> BipartiteChannel:
-    """Build a bipartite channel from Kraus operators and (sys_in, mem_in, sys_out, mem_out)."""
+def bipartite_channel(
+    kraus, dims: tuple[int, int, int, int], tol: float = DEFAULT_TOL
+) -> BipartiteChannel:
+    """Build a bipartite channel from Kraus operators and (sys_in, mem_in, sys_out, mem_out), TP within tol."""
     sys_in, mem_in, sys_out, mem_out = dims
-    inner = channel_from_kraus(kraus)
+    inner = channel_from_kraus(kraus, tol=tol)
     if inner.dim_in != sys_in * mem_in or inner.dim_out != sys_out * mem_out:
         raise DimensionError(
             f"Kraus shape ({inner.dim_out}, {inner.dim_in}) inconsistent with dims {dims}"
@@ -233,14 +225,6 @@ def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChan
     d = family.d
     u = sum(kron(basis_matrix(i, i, d), family.unitaries[i]) for i in range(d))
     return bipartite_channel([u], (d, d * d, d, d * d))
-
-
-def apply_bipartite(bc: BipartiteChannel, x: np.ndarray) -> np.ndarray:
-    x = as_complex_matrix(x)
-    dim = bc.sys_in * bc.mem_in
-    if x.shape != (dim, dim):
-        raise DimensionError(f"operand shape {x.shape} != ({dim}, {dim})")
-    return sum(k @ x @ dagger(k) for k in bc.inner.kraus)
 
 
 def _check_simulation_dims(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray) -> int:
@@ -341,6 +325,8 @@ class RealizationReport:
     the shared memory state; the decoder must act as a dephasing channel for
     each conditional memory state sigma_m; and the extracted marginal Gram
     matrices must match the blocks of the superchannel's Gram matrix.
+    ``gram_deviations`` holds the deviation of ``gram_entries`` from each of
+    SUPER_GRAM_CHECKS; the gram-structure check reads the first above tol.
     """
 
     checks: tuple[ConditionCheck, ...]
@@ -348,6 +334,7 @@ class RealizationReport:
     c_de: tuple[np.ndarray, ...] = field(repr=False)
     sigma: tuple[np.ndarray, ...] = field(repr=False)
     gram_entries: np.ndarray = field(repr=False)
+    gram_deviations: Mapping[str, float] = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -396,12 +383,9 @@ def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationRe
         + [max_abs(gram_entries[m::d, m::d] - c_de[m]) for m in range(d)]
     )
 
-    try:
-        validate_super_gram(gram_entries, d, tol=tol)
-        gram_violation, gram_detail = 0.0, ""
-    except ValidationError as exc:
-        gram_violation = exc.value if exc.value is not None else np.inf
-        gram_detail = f"{exc.check}: {exc}"
+    gram_deviations = measure(gram_entries, SUPER_GRAM_CHECKS)
+    exc = violation(gram_deviations, tol, "extracted Gram matrix")
+    gram_violation, gram_detail = (0.0, "") if exc is None else (exc.value, f"{exc.check}: {exc}")
 
     checks = (
         ConditionCheck(
@@ -435,6 +419,7 @@ def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationRe
         c_de=c_de,
         sigma=tuple(sigma),
         gram_entries=gram_entries,
+        gram_deviations=MappingProxyType(gram_deviations),
     )
 
 
@@ -473,9 +458,10 @@ def gram_from_simulation(
     """Extract the superchannel's Gram matrix realized by (enc, dec, tau).
 
     Refuses to return a matrix unless the triple verifiably realizes a
-    dephasing superchannel: the realization conditions must hold and the
-    simulation tensor must vanish at all mismatched index tuples. The
-    simulation tensor is not built for a triple that fails the conditions.
+    dephasing superchannel: the realization conditions, which include the
+    Gram invariants of the extracted matrix, must hold and the simulation
+    tensor must vanish at all mismatched index tuples. The simulation tensor
+    is not built for a triple that fails the conditions.
     """
     d = _check_simulation_dims(enc, dec, tau)
     report, mismatch = _report_and_mismatch(enc, dec, as_complex_matrix(tau), tol)
@@ -488,7 +474,7 @@ def gram_from_simulation(
         raise NotDephasingRealizationError(
             f"simulation tensor has mismatched-index weight {mismatch:.3e} > {tol:.1e}", report
         )
-    return validate_super_gram(report.gram_entries, d, tol=tol)
+    return SuperGram(d=d, mat=readonly_copy(report.gram_entries), deviations=report.gram_deviations)
 
 
 def circuit_oracle(

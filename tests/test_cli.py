@@ -9,10 +9,19 @@ import pytest
 
 import dephkit
 from conftest import CMAX
-from dephkit import identity_channel, kron, random_channel, unitary_channel
+from dephkit import (
+    identity_channel,
+    jamiolkowski,
+    kron,
+    random_channel,
+    random_controlled_family,
+    random_super_gram,
+    unitary_channel,
+)
 from dephkit.cli import main
 from dephkit.io import (
     bundled_data_path,
+    read_bipartite,
     read_matrix,
     write_bipartite,
     write_channel,
@@ -20,7 +29,7 @@ from dephkit.io import (
     write_matrix,
 )
 from dephkit.linalg import basis_vector, max_abs
-from dephkit.superchannels import controlled_unitary_channel
+from dephkit.superchannels import bipartite_channel, controlled_unitary_channel
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -227,6 +236,69 @@ def test_gram_from_unitaries(capsys, tmp_path, cmax_families):
     assert code == 0
     assert max_abs(read_matrix(out) - CMAX) < 1e-12
 
+
+
+def lines_pass(report):
+    """Whether every detail line with a threshold meets it; the eigenvalue line is held from below."""
+    return all(
+        det["value"] >= det["threshold"] if "smallest eigenvalue" in det["check"] else det["value"] <= det["threshold"]
+        for det in report["details"]
+        if det["threshold"] is not None
+    )
+
+
+@pytest.mark.parametrize("tol,code", [(None, 0), ("0", 1)])
+def test_gram_from_unitaries_verdict_follows_its_measurements(capsys, tmp_path, tol, code):
+    # At --tol 0 the rounding of QR unitaries and of their overlaps is a defect.
+    fam = tmp_path / "fam.json"
+    write_family_pair(fam, random_controlled_family(2, 1), random_controlled_family(2, 2))
+    got, report = run_json(capsys, "gram-from-unitaries", fam, *(("--tol", tol) if tol else ()))
+    assert got == code
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
+    assert lines_pass(report) == (code == 0)
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9"])
+def test_gram_verdicts_agree_with_their_lines(capsys, tmp_path, realization_files, cmax_families, tol):
+    enc, dec, tau = realization_files
+    fam = tmp_path / "fam.json"
+    write_family_pair(fam, *cmax_families)
+    noisy = tmp_path / "noisy.json"
+    write_matrix(noisy, random_super_gram(2, 3).mat)
+    for argv in (
+        ("gram-validate", noisy),
+        ("gram-validate", bundled_data_path("nmr_gram.json")),
+        ("gram-from-unitaries", fam),
+        ("gram-from-simulation", enc, dec, tau),
+    ):
+        code, report = run_json(capsys, *argv, "--tol", tol)
+        assert report["verdict"] == ("pass" if code == 0 else "fail")
+        assert lines_pass(report) == (code == 0), argv
+
+
+def test_simulation_reads_encoders_at_the_tol_flag(capsys, realization_files, tmp_path):
+    enc, dec, tau = realization_files
+    dented = tmp_path / "dented.json"
+    kraus = [k * np.sqrt(1 + 1e-7) for k in read_bipartite(enc).inner.kraus]
+    write_bipartite(dented, bipartite_channel(kraus, (2, 4, 2, 4), tol=1e-6))
+    for command in ("gram-from-simulation", "verify-realization"):
+        assert main([command, str(dented), str(dec), str(tau), "--tol", "1e-3"]) == 0
+        capsys.readouterr()
+        assert main([command, str(dented), str(dec), str(tau)]) == 1
+        assert "sum K†K deviates from identity by 1.000e-07" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol,code", [("1e-12", 2), ("1e-3", 0)])
+def test_untagged_jamiolkowski_audit_follows_the_tol_flag(capsys, tmp_path, tol, code):
+    gram = tmp_path / "ones.json"
+    write_matrix(gram, np.ones((4, 4)))
+    jam = jamiolkowski(random_channel(2, 2, seed=3))
+    for defect in (5e-8, 5e-7):  # on either side of a former 1e-7 floor
+        dented = jam.copy()
+        dented[0, 0] += defect  # moves Tr_1 J off I/2 by the defect
+        path = tmp_path / f"jam_{defect}.json"
+        write_matrix(path, dented)
+        assert main(["apply", str(path), str(gram), "--tol", tol]) == code
 
 def test_gram_from_simulation_roundtrip(capsys, realization_files, tmp_path):
     enc, dec, tau = realization_files

@@ -3,6 +3,7 @@ import pytest
 
 from dephkit import (
     ValidationError,
+    bipartite_channel,
     channel_from_kraus,
     jamiolkowski,
     random_channel,
@@ -121,6 +122,26 @@ def test_family_pair_roundtrip(tmp_path):
     assert max_abs(p2.unitaries[1] - pre.unitaries[1]) == 0.0
     assert max_abs(q2.unitaries[0] - post.unitaries[0]) == 0.0
 
+
+
+def test_bipartite_and_family_readers_check_at_the_callers_tol(tmp_path):
+    bc = controlled_unitary_channel(random_controlled_family(2, 4))
+    dented = bipartite_channel([k * np.sqrt(1 + 1e-7) for k in bc.inner.kraus], (2, 4, 2, 4), tol=1e-6)
+    enc = tmp_path / "enc.json"
+    write_bipartite(enc, dented)
+    read_bipartite(enc, tol=1e-6)
+    with pytest.raises(ValidationError) as err:
+        read_bipartite(enc)
+    assert err.value.check == "trace-preserving"
+    assert err.value.value == pytest.approx(1e-7, rel=1e-6)
+
+    fam = tmp_path / "fam.json"
+    write_family_pair(fam, random_controlled_family(2, 5), random_controlled_family(2, 6))
+    read_family_pair(fam)
+    with pytest.raises(ValidationError) as err:
+        read_family_pair(fam, tol=0.0)  # a QR unitary is unitary to rounding, not exactly
+    assert err.value.check == "unitary"
+    assert 0.0 < err.value.value < 1e-14
 
 def test_file_digest_stable(tmp_path):
     path = tmp_path / "x.json"

@@ -5,7 +5,6 @@ from conftest import CMAX, permutation
 from dephkit import (
     DimensionError,
     NotDephasingRealizationError,
-    apply_bipartite,
     ValidationError,
     apply_super,
     bipartite_channel,
@@ -494,6 +493,11 @@ ENGINE_KINDS = (
     "diag", "coherent", "kraus-rank-2", "identity", "unequal-memories",
     "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring",
 )
+
+
+def apply_bipartite(bc, x):
+    """Image of an operator on system ⊗ memory under a bipartite channel, Kraus by Kraus."""
+    return sum(k @ x @ k.conj().T for k in bc.inner.kraus)
 
 
 def reference_tensor(enc, dec, tau):
