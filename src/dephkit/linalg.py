@@ -175,10 +175,6 @@ def _jamiolkowski_tp(jam: np.ndarray) -> float:
     return max_abs(partial_trace(jam, (d, d), "first") - np.eye(d) / d)
 
 
-def _column_stochastic(t: np.ndarray) -> float:
-    return max_abs(t.sum(axis=0) - 1.0)
-
-
 # check name -> (deviation, what the error message says deviates)
 _CHECKS = {
     "unit-diagonal": (_unit_diagonal, "diagonal deviates from 1 by"),
@@ -189,7 +185,6 @@ _CHECKS = {
     "trace-preserving": (_trace_preserving, "sum K†K deviates from identity by"),
     "jamiolkowski-tp": (_jamiolkowski_tp, "Tr_1 J deviates from I/d by"),
     "unitary": (lambda u: _trace_preserving((u,)), "deviation from unitarity is"),  # u†u = I
-    "column-stochastic": (_column_stochastic, "column sums deviate from 1 by"),
 }
 # The same invariants, named for the transformed Jamiolkowski states they are checked on.
 _CHECKS["jamiolkowski-hermitian"] = _CHECKS["hermitian"]

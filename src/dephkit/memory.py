@@ -18,6 +18,7 @@ import numpy as np
 
 from .channels import GramMatrix, gram_matrix
 from .errors import DecompositionError, DimensionError, ValidationError
+from .io import bundled_data_path, read_matrix
 from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
@@ -282,17 +283,17 @@ def _check_disk(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def family_gram(alpha: complex, beta: complex) -> SuperGram:
+def family_gram(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> SuperGram:
     """Qutrit superchannel family: identity diagonal blocks, a single alpha
     coupling in block (0, 1) at entry (2, 0) and a single beta coupling in
-    block (0, 2) at entry (0, 0)."""
+    block (0, 2) at entry (0, 0); validated at tol."""
     alpha, beta = _check_disk(alpha, beta)
     mat = np.eye(9, dtype=complex)
     mat[2, 3] = alpha
     mat[3, 2] = np.conj(alpha)
     mat[0, 6] = beta
     mat[6, 0] = np.conj(beta)
-    return validate_super_gram(mat, 3)
+    return validate_super_gram(mat, 3, tol=tol)
 
 
 def family_ppt_closed_form(alpha: complex, beta: complex) -> float:
@@ -339,9 +340,10 @@ def _complete_unitary(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
 
 
 def family_realization(
-    alpha: complex, beta: complex
+    alpha: complex, beta: complex, tol: float = DEFAULT_TOL
 ) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
-    """Controlled-unitary circuit whose Gram matrix is family_gram(alpha, beta).
+    """Controlled-unitary circuit whose Gram matrix is family_gram(alpha, beta),
+    each unitary checked within tol.
 
     The pre-processing family permutes the memory so the k-th branch prepares
     |0 k>; the post-processing family maps the prepared states onto the vector
@@ -356,14 +358,15 @@ def family_realization(
         return basis_vector(a * d + b, d * d)
 
     pre = controlled_unitary_family(
-        [np.eye(9, dtype=complex), _permutation_on_second(d, 0, 1), _permutation_on_second(d, 0, 2)]
+        [np.eye(9, dtype=complex), _permutation_on_second(d, 0, 1), _permutation_on_second(d, 0, 2)],
+        tol=tol,
     )
 
     psi_10 = np.conj(alpha) * e(0, 2) + np.sqrt(1 - abs(alpha) ** 2) * e(1, 0)
     psi_20 = np.conj(beta) * e(0, 0) + np.sqrt(1 - abs(beta) ** 2) * e(2, 0)
     v1 = _complete_unitary({0: psi_10, 1: e(1, 1), 2: e(1, 2)}, 9)
     v2 = _complete_unitary({0: psi_20, 1: e(2, 1), 2: e(2, 2)}, 9)
-    post = controlled_unitary_family([np.eye(9, dtype=complex), v1, v2])
+    post = controlled_unitary_family([np.eye(9, dtype=complex), v1, v2], tol=tol)
     return pre, post
 
 
@@ -371,31 +374,18 @@ def family_realization(
 # Bundled experimental data
 # ---------------------------------------------------------------------------
 
-# Correlation-matrix blocks of the dephasing noise reconstructed from a
-# published NMR gate-tomography experiment; entries carry three decimals,
-# the precision of the published values.
-NMR_C00_OFFDIAG = -0.066 - 0.368j
-NMR_C01 = np.array(
-    [
-        [0.003 + 0.465j, 0.701 + 0.000j],
-        [0.199 + 0.078j, -0.129 + 0.182j],
-    ]
-)
-
-# Three-decimal rounding limits how sharply the invariants can hold.
+# The bundled matrix is the Gram matrix of the dephasing noise reconstructed
+# from a published NMR gate-tomography experiment. Its entries carry three
+# decimals, the precision of the published values, and that rounding limits
+# how sharply the invariants can hold.
 NMR_VALIDATION_TOL = 5e-3
 NMR_ACTIVITY = 0.625
 NMR_ACTIVITY_TOL = 5e-4
 
 
 def nmr_experimental_matrix() -> np.ndarray:
-    c00 = np.array([[1.0, NMR_C00_OFFDIAG], [np.conj(NMR_C00_OFFDIAG), 1.0]])
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[:2, :2] = c00
-    mat[2:, 2:] = c00
-    mat[:2, 2:] = NMR_C01
-    mat[2:, :2] = NMR_C01.conj().T
-    return mat
+    """The bundled experimental matrix, read from data/nmr_gram.json."""
+    return read_matrix(bundled_data_path("nmr_gram.json"))
 
 
 def nmr_experimental_gram() -> SuperGram:

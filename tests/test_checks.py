@@ -19,7 +19,7 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
-from dephkit.linalg import measure, require
+from dephkit.linalg import measure
 from dephkit.superchannels import SUPER_GRAM_CHECKS
 
 TOLS = (1e-9, 1e-6)
@@ -68,17 +68,12 @@ def _case(check, defect, tol):
     if check == "unitary":
         u = np.sqrt(1 + defect) * np.eye(4, dtype=complex)
         return u, ("unitary",), lambda: controlled_unitary_family([u, np.eye(4)], tol=tol)
-    if check == "column-stochastic":
-        # classical_action's TP check implies this one (column j sums to
-        # (sum K†K)[j, j]), so no channel reaches it: hold a matrix to it.
-        t = np.array([[1 + defect, 0.0], [0.0, 1.0]])
-        return t, ("column-stochastic",), lambda: require(t, ("column-stochastic",), tol)
     raise ValueError(check)
 
 
 CHECKS = (
     "unit-diagonal", "hermitian", "psd", "unit-trace", "equal-diagonal-blocks",
-    "trace-preserving", "jamiolkowski-tp", "unitary", "column-stochastic",
+    "trace-preserving", "jamiolkowski-tp", "unitary",
 )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dephkit
-from conftest import CMAX
+from conftest import CMAX, audit_only_triple
 from dephkit import (
     identity_channel,
     jamiolkowski,
@@ -148,6 +148,14 @@ def test_family_realize_residual(capsys):
     assert code == 0
     res = next(d for d in report["details"] if "round-trip residual" in d["check"])
     assert res["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("tol,code", [(None, 0), ("2e-16", 1)])
+def test_family_checks_its_unitaries_at_the_tol_flag(capsys, tol, code):
+    # The completed unitaries of the realization are unitary to 4.4e-16.
+    argv = ["family", "--alpha", "0.8", "--beta", "0.5j", "--realize", *(("--tol", tol) if tol else ())]
+    assert main(argv) == code
+    assert ("deviation from unitarity" in capsys.readouterr().err) == (code == 1)
 
 
 def test_family_out_of_disk(capsys):
@@ -317,6 +325,24 @@ def test_gram_from_simulation_rejects_non_dephasing(capsys, realization_files, t
     code, report = run_json(capsys, "gram-from-simulation", bad, dec, tau)
     assert code == 1
     assert report["verdict"] == "fail"
+
+
+def test_audit_only_reject_names_its_check(capsys, tmp_path):
+    paths = [tmp_path / f"{name}.json" for name in ("enc", "dec", "tau")]
+    enc, dec, tau = audit_only_triple(3e-5)
+    write_bipartite(paths[0], enc)
+    write_bipartite(paths[1], dec)
+    write_matrix(paths[2], tau)
+    code, report = run_json(capsys, "gram-from-simulation", *paths)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert [d["check"] for d in report["details"]] == ["violated realization condition: simulation-mismatch"]
+    code, report = run_json(capsys, "verify-realization", *paths)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    mismatch = report["details"][-1]
+    assert mismatch["check"] == "realization condition: simulation-mismatch"
+    assert mismatch["value"] > mismatch["threshold"]
 
 
 def test_memory_decompose(capsys, tmp_path):

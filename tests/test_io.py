@@ -12,7 +12,6 @@ from dephkit import (
 )
 from dephkit.io import (
     FileFormatError,
-    bundled_data_path,
     file_digest,
     matrix_from_obj,
     matrix_to_obj,
@@ -26,7 +25,6 @@ from dephkit.io import (
     write_matrix,
 )
 from dephkit.linalg import max_abs
-from dephkit.memory import nmr_experimental_matrix
 from dephkit.superchannels import controlled_unitary_channel
 
 
@@ -148,9 +146,3 @@ def test_file_digest_stable(tmp_path):
     write_matrix(path, np.eye(2))
     assert file_digest(path) == file_digest(path)
     assert len(file_digest(path)) == 64
-
-
-def test_bundled_nmr_data_matches_constants():
-    path = bundled_data_path("nmr_gram.json")
-    assert path.exists()
-    assert np.array_equal(read_matrix(path), nmr_experimental_matrix())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CMAX, permutation
+from conftest import CMAX, audit_only_triple, permutation
 from dephkit import (
     DimensionError,
     NotDephasingRealizationError,
@@ -29,6 +29,7 @@ from dephkit import (
     verify_simulation_consistency,
 )
 from dephkit.linalg import basis_matrix, basis_vector, is_psd, kron, max_abs, partial_trace
+from dephkit import superchannels
 from dephkit.superchannels import simulation_tensor
 from dephkit.memory import nmr_experimental_gram
 
@@ -489,10 +490,9 @@ def realization_triple(kind, d, seed=0):
     raise ValueError(kind)
 
 
-ENGINE_KINDS = (
-    "diag", "coherent", "kraus-rank-2", "identity", "unequal-memories",
-    "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring",
-)
+GENUINE_KINDS = ("diag", "coherent", "kraus-rank-2", "identity")
+BROKEN_KINDS = ("unequal-memories", "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring")
+ENGINE_KINDS = GENUINE_KINDS + BROKEN_KINDS
 
 
 def apply_bipartite(bc, x):
@@ -563,6 +563,8 @@ def reference_evaluation(enc, dec, tau, tol=1e-9):
         "marginal-consistency": marg_violation,
         "gram-structure": gram_violation,
     }
+    if all(value <= tol for value in values.values()):
+        values["simulation-mismatch"] = max_mismatch
     return {
         "checks": [(name, value <= tol, value) for name, value in values.items()],
         "c_en": c_en,
@@ -596,7 +598,7 @@ def test_engine_matches_per_basis_reference(kind, d):
     assert tensor.shape == (d,) * 8
     assert max_abs(tensor - ref["tensor"]) <= 1e-12
 
-    genuine = kind in ("diag", "coherent", "kraus-rank-2", "identity")
+    genuine = kind in GENUINE_KINDS
     assert report.passed == genuine
     if genuine:
         assert max_abs(gram_from_simulation(enc, dec, tau).mat - ref["gram"]) <= 1e-12
@@ -634,3 +636,41 @@ def test_reject_holds_no_large_arrays():
                 held[id(value)] = value.nbytes
         tb = tb.tb_next
     assert sum(held.values()) <= 64 * 1024
+
+
+def test_audit_only_reject_is_one_verdict():
+    # The four realization checks read 4.5e-10 and pass at tol 1e-9; only the
+    # simulation tensor shows the decoder's first-order defect, at 2.1e-5.
+    enc, dec, tau = audit_only_triple(3e-5)
+    report = verify_dephasing_realization(enc, dec, tau, tol=1e-9)
+    assert not report.passed
+    (failed,) = report.failed_checks()
+    assert failed.name == "simulation-mismatch"
+    assert failed.max_violation == verify_simulation_consistency(enc, dec, tau).max_mismatch
+    assert failed.max_violation == pytest.approx(3e-5 / np.sqrt(2), rel=1e-6)
+    with pytest.raises(NotDephasingRealizationError, match="simulation-mismatch") as err:
+        gram_from_simulation(enc, dec, tau, tol=1e-9)
+    assert err.value.report.checks == report.checks
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_checks_grow_as_eps_squared_and_the_mismatch_as_eps(eps):
+    enc, dec, tau = audit_only_triple(eps)
+    *checks, mismatch = verify_dephasing_realization(enc, dec, tau, tol=np.inf).checks
+    assert max(c.max_violation for c in checks) == pytest.approx(eps**2 / 2, rel=1e-3)
+    assert mismatch.name == "simulation-mismatch"
+    assert mismatch.max_violation == pytest.approx(eps / np.sqrt(2), rel=1e-3)
+
+
+@pytest.mark.parametrize("kind", BROKEN_KINDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_reject_never_builds_the_simulation_tensor(kind, d, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("simulation tensor built for a triple that failed a realization check")
+
+    monkeypatch.setattr(superchannels, "_tensor", refuse)
+    enc, dec, tau = realization_triple(kind, d)
+    report = verify_dephasing_realization(enc, dec, tau)
+    assert len(report.checks) == 4 and not report.passed
+    with pytest.raises(NotDephasingRealizationError):
+        gram_from_simulation(enc, dec, tau)
