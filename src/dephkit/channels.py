@@ -19,9 +19,9 @@ from .linalg import (
     as_complex_matrix,
     basis_matrix,
     dagger,
-    hermitize,
     kron,
     max_abs,
+    psd_factors,
     readonly_copy,
     require,
     reshuffle,
@@ -132,26 +132,20 @@ def channel_from_jamiolkowski(
     """Recover Kraus operators from a Jamiolkowski state by eigendecomposition.
 
     tol applies on the scale of J: eigenvalues of J below -tol signal a
-    non-CP map and are rejected, tiny negatives within tol are clamped to
-    zero, and trace preservation is checked as max |Tr_1 J - I/d| <= tol,
-    which is sum K†K within d*tol of the identity.
+    non-CP map and are rejected. One Kraus operator is kept per Choi
+    eigenvalue above the rank cutoff of ``psd_factors``, so negatives within
+    tol are dropped, and trace preservation is checked as
+    max |Tr_1 J - I/d| <= tol, which is sum K†K within d*tol of the identity.
     """
     jam = as_complex_matrix(jam)
     side = jam.shape[0]
     d = round(side**0.5)
     if jam.shape != (side, side) or d * d != side:
         raise DimensionError(f"Jamiolkowski matrix must be d^2 x d^2, got {jam.shape}")
-    choi = d * hermitize(jam)
-    vals, vecs = np.linalg.eigh(choi)
-    if vals[0] < -d * tol:
-        raise ValidationError("cp", f"Choi eigenvalue {vals[0]:.3e} certifies a non-CP map", -vals[0])
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= 1e-12:
-            continue
-        ops.append(np.sqrt(lam) * v.reshape(d, d))
-    if not ops:
-        ops = [np.zeros((d, d), dtype=complex)]
+    lam_min, factors = psd_factors(d * jam)
+    if lam_min < -d * tol:
+        raise ValidationError("cp", f"Choi eigenvalue {lam_min:.3e} certifies a non-CP map", -lam_min)
+    ops = [f.reshape(d, d) for f in factors.T] or [np.zeros((d, d), dtype=complex)]
     return channel_from_kraus(ops, trace_preserving=trace_preserving, tol=d * tol)
 
 
@@ -189,9 +183,7 @@ def max_dephase(rho: np.ndarray) -> np.ndarray:
 
 def dephasing_channel(c: GramMatrix) -> Channel:
     """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†."""
-    vals, vecs = np.linalg.eigh(hermitize(c.mat))
-    ops = [np.diag(np.sqrt(max(lam, 0.0)) * v) for lam, v in zip(vals, vecs.T) if lam > 1e-14]
-    return channel_from_kraus(ops)
+    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T])
 
 
 def maximally_dephasing_channel(d: int) -> Channel:
@@ -202,11 +194,13 @@ def classical_action(ch: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transition matrix T[i, j] = <i|E(|j><j|)|i> of a trace-preserving channel.
 
     Its entries are sums of squared moduli, so nonnegative; column j sums to
-    (sum K†K)[j, j], which the trace-preserving check holds to 1 within tol.
+    (sum K†K)[j, j]. A channel built trace-preserving was held to it then, on
+    its own scale; any other is checked here within tol.
     """
     if ch.dim_in != ch.dim_out:
         raise DimensionError("classical action requires dim_in == dim_out")
-    require(ch.kraus, ("trace-preserving",), tol, "channel")
+    if not ch.trace_preserving:
+        require(ch.kraus, ("trace-preserving",), tol, "channel")
     return sum(np.abs(k) ** 2 for k in ch.kraus)
 
 

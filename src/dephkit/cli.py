@@ -253,7 +253,7 @@ def cmd_family(args) -> int:
     report.add("beta", str(args.beta))
     if args.ppt:
         measured = memory.ppt_min_eig(sg, tol=args.tol)
-        closed = memory.family_ppt_closed_form(args.alpha, args.beta)
+        closed = memory.family_ppt_closed_form(args.alpha, args.beta, tol=args.tol)
         report.add("partial transpose smallest eigenvalue", measured)
         report.add("closed form 1 - sqrt(|a|^2+|b|^2)", closed)
         report.add("closed-form residual", abs(measured - closed), args.tol)

@@ -220,6 +220,18 @@ def min_eig_hermitian(m: np.ndarray, hermiticity_tol: float = DEFAULT_TOL) -> fl
     return -_psd(m)
 
 
+def psd_factors(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the Hermitian part H of m, and a factor F of H.
+
+    F has one column sqrt(λ) v per eigenpair (λ, v) with λ > n·eps·max(λ_max, 0),
+    the rank rule of ``numpy.linalg.matrix_rank``, in ascending order of λ, so
+    F F† = H but for the eigenvalues at or below that cutoff.
+    """
+    vals, vecs = np.linalg.eigh(hermitize(m))
+    keep = vals > m.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
+    return float(vals[0]), vecs[:, keep] * np.sqrt(vals[keep])
+
+
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
     return violation(measure(as_complex_matrix(m), ("hermitian", "psd")), tol) is None

@@ -40,21 +40,16 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _block_diagonals(sg: SuperGram) -> np.ndarray:
-    """diag(block (i, j)) stacked as [i, j, m]."""
+def _passive_deviation(sg: SuperGram) -> float:
+    """Largest distance of a block's diagonal entry from that block's mean diagonal."""
     d = sg.d
-    out = np.empty((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = np.diag(sg.block(i, j))
-    return out
+    diags = np.einsum("ikjk->ijk", sg.mat.reshape(d, d, d, d))  # diag(block (i, j)) as [i, j, k]
+    return float(np.abs(diags - diags.mean(axis=2, keepdims=True)).max())
 
 
 def is_passive_compatible(sg: SuperGram, tol: float = DEFAULT_TOL) -> bool:
     """True iff every block of the Gram matrix has a constant diagonal within tol."""
-    diags = _block_diagonals(sg)
-    dev = np.abs(diags - diags.mean(axis=2, keepdims=True)).max()
-    return bool(dev <= tol)
+    return _passive_deviation(sg) <= tol
 
 
 def memory_activity_qubit(sg: SuperGram) -> float:
@@ -225,10 +220,12 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
-    if not is_passive_compatible(sg, tol):
+    if (deviation := _passive_deviation(sg)) > tol:
         raise ValidationError(
             "passive-compatibility",
-            "Gram matrix has a block with non-constant diagonal; no passive realization exists",
+            f"Gram matrix: a block diagonal deviates from constant by {deviation:.3e} > {tol:.3e}; "
+            "no passive realization exists",
+            deviation,
         )
 
     target = sg.mat
@@ -274,11 +271,12 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 # ---------------------------------------------------------------------------
 
 
-def _check_disk(alpha: complex, beta: complex) -> tuple[complex, complex]:
+def _check_disk(alpha: complex, beta: complex, tol: float) -> tuple[complex, complex]:
     alpha, beta = complex(alpha), complex(beta)
-    if abs(alpha) > 1 + 1e-12 or abs(beta) > 1 + 1e-12:
+    excess = max(abs(alpha), abs(beta)) - 1
+    if excess > tol:
         raise ValidationError(
-            "unit-disk", f"parameters must lie in the unit disk, got |a|={abs(alpha)}, |b|={abs(beta)}"
+            "unit-disk", f"parameters leave the unit disk: max(|a|, |b|) - 1 = {excess:.3e} > {tol:.3e}", excess
         )
     return alpha, beta
 
@@ -287,7 +285,7 @@ def family_gram(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Supe
     """Qutrit superchannel family: identity diagonal blocks, a single alpha
     coupling in block (0, 1) at entry (2, 0) and a single beta coupling in
     block (0, 2) at entry (0, 0); validated at tol."""
-    alpha, beta = _check_disk(alpha, beta)
+    alpha, beta = _check_disk(alpha, beta, tol)
     mat = np.eye(9, dtype=complex)
     mat[2, 3] = alpha
     mat[3, 2] = np.conj(alpha)
@@ -296,9 +294,9 @@ def family_gram(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Supe
     return validate_super_gram(mat, 3, tol=tol)
 
 
-def family_ppt_closed_form(alpha: complex, beta: complex) -> float:
-    """Smallest partial-transpose eigenvalue of the family: 1 - sqrt(|a|^2 + |b|^2)."""
-    alpha, beta = _check_disk(alpha, beta)
+def family_ppt_closed_form(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> float:
+    """Smallest partial-transpose eigenvalue of the family: 1 - sqrt(|a|^2 + |b|^2); |a|, |b| <= 1 + tol."""
+    alpha, beta = _check_disk(alpha, beta, tol)
     return float(1.0 - np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2))
 
 
@@ -310,32 +308,17 @@ def _permutation_on_second(d: int, a: int, b: int) -> np.ndarray:
 
 
 def _complete_unitary(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Fill unconstrained columns by Gram-Schmidt over the canonical basis.
+    """Fill the columns not pinned with an orthonormal basis of the pinned ones' complement.
 
-    Deterministic: candidate vectors are taken in canonical order, so two
-    calls with the same constraints produce identical matrices.
+    The first len(columns) columns of Q in the Householder QR of [pinned | I]
+    span the pinned ones, so the rest complete them: no rank cutoff, and the
+    same constraints give identical matrices.
     """
-    u = np.zeros((dim, dim), dtype=complex)
-    ortho: list[np.ndarray] = []
-    for col, vec in columns.items():
-        u[:, col] = vec
-        ortho.append(vec)
-    free = [c for c in range(dim) if c not in columns]
-    filled: list[np.ndarray] = []
-    for cand in range(dim):
-        if len(filled) == len(free):
-            break
-        v = basis_vector(cand, dim)
-        for _ in range(2):  # re-orthogonalize once for numerical stability
-            for w in ortho:
-                v = v - w * np.vdot(w, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            v = v / norm
-            ortho.append(v)
-            filled.append(v)
-    for col, vec in zip(free, filled):
-        u[:, col] = vec
+    pinned = np.column_stack(list(columns.values()))
+    q, _ = np.linalg.qr(np.column_stack([pinned, np.eye(dim)]))
+    u = np.empty((dim, dim), dtype=complex)
+    u[:, list(columns)] = pinned
+    u[:, [c for c in range(dim) if c not in columns]] = q[:, len(columns) :]
     return u
 
 
@@ -351,7 +334,7 @@ def family_realization(
     the alpha and beta couplings. Columns not pinned by those mappings are
     completed deterministically.
     """
-    alpha, beta = _check_disk(alpha, beta)
+    alpha, beta = _check_disk(alpha, beta, tol)
     d = 3
 
     def e(a: int, b: int) -> np.ndarray:
@@ -362,8 +345,8 @@ def family_realization(
         tol=tol,
     )
 
-    psi_10 = np.conj(alpha) * e(0, 2) + np.sqrt(1 - abs(alpha) ** 2) * e(1, 0)
-    psi_20 = np.conj(beta) * e(0, 0) + np.sqrt(1 - abs(beta) ** 2) * e(2, 0)
+    psi_10 = np.conj(alpha) * e(0, 2) + np.sqrt(max(1 - abs(alpha) ** 2, 0.0)) * e(1, 0)
+    psi_20 = np.conj(beta) * e(0, 0) + np.sqrt(max(1 - abs(beta) ** 2, 0.0)) * e(2, 0)
     v1 = _complete_unitary({0: psi_10, 1: e(1, 1), 2: e(1, 2)}, 9)
     v2 = _complete_unitary({0: psi_20, 1: e(2, 1), 2: e(2, 2)}, 9)
     post = controlled_unitary_family([np.eye(9, dtype=complex), v1, v2], tol=tol)
@@ -379,8 +362,6 @@ def family_realization(
 # decimals, the precision of the published values, and that rounding limits
 # how sharply the invariants can hold.
 NMR_VALIDATION_TOL = 5e-3
-NMR_ACTIVITY = 0.625
-NMR_ACTIVITY_TOL = 5e-4
 
 
 def nmr_experimental_matrix() -> np.ndarray:

@@ -55,6 +55,7 @@ from .linalg import (
     kron,
     max_abs,
     measure,
+    psd_factors,
     random_unitary,
     readonly_copy,
     require,
@@ -327,6 +328,8 @@ class RealizationReport:
     matrices must match the blocks of the superchannel's Gram matrix.
     ``gram_deviations`` holds the deviation of ``gram_entries`` from each of
     SUPER_GRAM_CHECKS; the gram-structure check reads the first above tol.
+    The decoder check's detail names the lowest memory level m whose violation
+    lies within tol of the worst, so rounding never picks among exact ties.
 
     Only when those four checks pass does ``checks`` hold a fifth,
     simulation-mismatch: the largest entry of the simulation tensor off the
@@ -375,8 +378,8 @@ def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationRe
     c_de = tuple(matched[:, :, m].copy() for m in range(d))
     matched[...] = 0.0
     worst = np.abs(images).reshape(-1, d).max(axis=0)
-    worst_m = int(np.argmax(worst))
-    dec_violation = float(worst[worst_m])
+    dec_violation = float(worst.max())
+    worst_m = int(np.argmax(worst >= dec_violation - tol))
     dec_detail = f"worst conditional memory index m={worst_m}" if dec_violation > 0.0 else ""
 
     # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)], from the matched
@@ -489,10 +492,7 @@ def circuit_oracle(
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionError(f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal d={d}")
 
-    vals, vecs = np.linalg.eigh((tau + dagger(tau)) / 2)
-    prep = [
-        np.sqrt(lam) * kron(np.eye(d), v[:, None]) for lam, v in zip(vals, vecs.T) if lam > 1e-14
-    ]
+    prep = [kron(np.eye(d), f[:, None]) for f in psd_factors(tau)[1].T]
     mem_mid = enc.mem_out
     mid = [kron(k, np.eye(mem_mid)) for k in ch.kraus]
     discard = [kron(np.eye(d), basis_vector(b, dec.mem_out)[None, :]) for b in range(dec.mem_out)]

@@ -3,6 +3,7 @@ import pytest
 
 from dephkit import (
     bipartite_channel,
+    channel_from_kraus,
     controlled_unitary_family,
     validate_super_gram,
 )
@@ -73,3 +74,8 @@ def random_gram(d, rng):
     m = random_psd(d, rng)
     scale = 1 / np.sqrt(np.diag(m).real)
     return m * np.outer(scale, scale)
+
+
+def small_flip_channel(p=4e-13):
+    """K0 = sqrt(1 - p) I, K1 = sqrt(p) X: exactly trace preserving, with Choi eigenvalue 2p."""
+    return channel_from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.array([[0, 1], [1, 0]])])

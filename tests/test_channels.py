@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gram
+from conftest import random_gram, small_flip_channel
 from dephkit import (
     DimensionError,
     ValidationError,
@@ -162,6 +162,14 @@ def test_classical_action_of_dephasing_is_identity():
     rng = np.random.default_rng(5)
     ch = dephasing_channel(gram_matrix(random_gram(3, rng)))
     assert max_abs(classical_action(ch) - np.eye(3)) < 1e-12
+
+
+def test_jamiolkowski_roundtrip_keeps_a_small_kraus_operator():
+    # The Choi eigenvalue 8e-13 lies far above the rank cutoff; dropping it
+    # would move sum K†K off the identity by 4e-13.
+    ch = channel_from_jamiolkowski(jamiolkowski(small_flip_channel()), tol=1e-13)
+    assert len(ch.kraus) == 2
+    assert max_abs(superop_from_kraus(ch) - superop_from_kraus(small_flip_channel())) < 1e-15
 
 
 def test_classical_action_requires_tp():

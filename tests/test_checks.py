@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CMAX
 from dephkit import (
     ValidationError,
     apply_super,
@@ -12,7 +13,9 @@ from dephkit import (
     channel_from_kraus,
     classical_action,
     controlled_unitary_family,
+    decompose_product_qubit,
     density_matrix,
+    family_gram,
     gram_action_on_affine,
     gram_matrix,
     identity_channel,
@@ -117,6 +120,8 @@ def _validator_failures():
         ),
         ("superchannel-output-tp", lambda: apply_super(_bumped_corner(1e-3), identity_channel(2))),
         ("unitary", lambda: controlled_unitary_family([2 * np.eye(4), np.eye(4)])),
+        ("unit-disk", lambda: family_gram(1.2, 0)),
+        ("passive-compatibility", lambda: decompose_product_qubit(validate_super_gram(CMAX, 2))),
     ]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dephkit
-from conftest import CMAX, audit_only_triple
+from conftest import CMAX, audit_only_triple, small_flip_channel
 from dephkit import (
     identity_channel,
     jamiolkowski,
@@ -21,6 +21,7 @@ from dephkit import (
 from dephkit.cli import main
 from dephkit.io import (
     bundled_data_path,
+    matrix_to_obj,
     read_bipartite,
     read_matrix,
     write_bipartite,
@@ -162,6 +163,12 @@ def test_family_out_of_disk(capsys):
     assert main(["family", "--alpha", "2", "--beta", "0"]) == 1
 
 
+def test_family_realizes_a_parameter_within_tol_of_the_disk(capsys):
+    code, report = run_json(capsys, "family", "--alpha", "1.0000000000005", "--beta", "0", "--ppt", "--realize")
+    assert code == 0
+    assert report["verdict"] == "pass"
+
+
 def test_apply_identity_channel_all_ones(capsys, tmp_path):
     ch_path = tmp_path / "id.json"
     gram_path = tmp_path / "ones.json"
@@ -190,6 +197,27 @@ def test_apply_hadamard_max_dephasing_reports_cgp_drop(capsys, tmp_path):
     assert abs(after) < 1e-12
     jam = read_matrix(out)
     assert max_abs(jam - np.diag(np.diag(jam))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["kraus", "jamiolkowski"])
+def test_apply_keeps_a_small_kraus_operator_at_a_tight_tol(capsys, tmp_path, kind):
+    ch_path = tmp_path / "ch.json"
+    gram_path = tmp_path / "ones.json"
+    write_channel(ch_path, small_flip_channel(), kind=kind)
+    write_matrix(gram_path, np.ones((4, 4)))
+    assert main(["apply", str(ch_path), str(gram_path), "--tol", "1e-13"]) == 0
+
+
+def test_apply_holds_a_read_channel_to_tp_once(capsys, tmp_path):
+    # Tr_1 J is off by 0.75 tol, so sum K†K is off by 1.5 tol: within the
+    # d * tol the Jamiolkowski reader allows, and not measured again.
+    jam = jamiolkowski(random_channel(2, 2, seed=3))
+    jam[0, 0] += 7.5e-7
+    ch_path = tmp_path / "jam.json"
+    ch_path.write_text(json.dumps({"kind": "jamiolkowski", "dim": 2, "matrix": matrix_to_obj(jam)}))
+    gram_path = tmp_path / "ones.json"
+    write_matrix(gram_path, np.ones((4, 4)))
+    assert main(["apply", str(ch_path), str(gram_path), "--tol", "1e-6"]) == 0
 
 
 def test_apply_random_channel_cmax_residual(capsys, tmp_path, cmax_file):

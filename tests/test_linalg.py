@@ -15,7 +15,7 @@ from dephkit import (
     reshuffle,
     schur,
 )
-from dephkit.linalg import basis_matrix, basis_vector, max_abs
+from dephkit.linalg import basis_matrix, basis_vector, max_abs, psd_factors
 from dephkit.memory import family_gram
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -138,6 +138,25 @@ def test_min_eig_family_closed_form():
 def test_min_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         min_eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("d,rank", [(3, 3), (4, 2), (6, 1)])
+def test_psd_factors_reproduce_the_hermitian_part(d, rank):
+    rng = np.random.default_rng([d, rank])
+    psd = random_psd(d, rng, rank)
+    skew = 1j * random_psd(d, rng)  # anti-Hermitian, so outside the Hermitian part
+    lam_min, f = psd_factors(psd + skew)
+    assert f.shape == (d, rank)
+    assert max_abs(f @ f.conj().T - psd) < 1e-12 * max_abs(psd)
+    assert lam_min == pytest.approx(np.linalg.eigvalsh(psd)[0], abs=1e-12 * max_abs(psd))
+
+
+def test_psd_factor_of_a_pure_state_is_its_vector():
+    v = np.array([0.6, 0.48j, 0.64])
+    lam_min, f = psd_factors(np.outer(v, v.conj()))
+    assert f.shape == (3, 1)
+    assert abs(abs(np.vdot(f[:, 0], v)) - 1) < 1e-15
+    assert abs(lam_min) < 1e-15
 
 
 def test_is_psd_trivial():

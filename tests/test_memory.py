@@ -21,7 +21,7 @@ from dephkit import (
     random_super_gram,
     validate_super_gram,
 )
-from dephkit.linalg import basis_vector, max_abs
+from dephkit.linalg import basis_vector, max_abs, measure
 from dephkit.memory import NMR_VALIDATION_TOL, _best_atom, _circle_gram
 
 RNG = np.random.default_rng(2024)
@@ -313,6 +313,25 @@ def test_family_rejects_out_of_disk():
         family_gram(1.2, 0)
     with pytest.raises(ValidationError):
         family_realization(0, 1.0001)
+
+
+def test_family_disk_check_follows_tol():
+    alpha = 1 + 5e-13
+    assert family_ppt_closed_form(alpha, 0) == pytest.approx(-5e-13, abs=1e-15)
+    with pytest.raises(ValidationError) as err:
+        family_ppt_closed_form(alpha, 0, tol=1e-13)
+    assert err.value.check == "unit-disk"
+    assert err.value.value == pytest.approx(5e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.8, 0.5j), (1, 0), (0.3, -1j)])
+def test_family_realization_unitaries_are_exact_and_deterministic(alpha, beta):
+    first = family_realization(alpha, beta)
+    second = family_realization(alpha, beta)
+    for fam, again in zip(first, second):
+        for u, v in zip(fam.unitaries, again.unitaries):
+            assert measure(u, ("unitary",))["unitary"] <= 1e-14
+            assert np.array_equal(u, v)
 
 
 def test_family_ppt_closed_form_grid():

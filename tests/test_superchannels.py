@@ -378,6 +378,16 @@ def test_wrong_memory_wiring_fails_decoder_condition_at_specific_level():
     assert "m=1" in decoder_check.detail
 
 
+@pytest.mark.parametrize("d,seed", [(2, 0), (3, 1), (4, 0)])
+def test_decoder_witness_is_the_lowest_of_tied_levels(d, seed):
+    # The Fourier decoder ignores the memory, so every level's violation is
+    # the same in exact arithmetic; rounding alone orders them.
+    report = verify_dephasing_realization(*realization_triple("coherence-consuming-decoder", d, seed))
+    decoder_check = next(c for c in report.checks if c.name == "decoder-dephasing")
+    assert not decoder_check.passed
+    assert decoder_check.detail == "worst conditional memory index m=0"
+
+
 # ---------------------------------------------------------------------------
 # marginals
 # ---------------------------------------------------------------------------
