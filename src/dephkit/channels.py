@@ -181,9 +181,9 @@ def max_dephase(rho: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(rho))
 
 
-def dephasing_channel(c: GramMatrix) -> Channel:
-    """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†."""
-    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T])
+def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
+    """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†, TP within tol."""
+    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T], tol=tol)
 
 
 def maximally_dephasing_channel(d: int) -> Channel:

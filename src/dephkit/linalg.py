@@ -192,13 +192,23 @@ _CHECKS["jamiolkowski-psd"] = _CHECKS["psd"]
 _CHECKS["superchannel-output-tp"] = _CHECKS["jamiolkowski-tp"]
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a NaN or negative tolerance; inf passes every finite deviation."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
+
+
 def measure(x, checks: Iterable[str]) -> dict[str, float]:
     """Deviation of x from each named invariant, in the order given."""
     return {name: _CHECKS[name][0](x) for name in checks}
 
 
 def violation(deviations: Mapping[str, float], tol: float, subject: str = "matrix") -> ValidationError | None:
-    """The error for the first deviation above tol, or None when every check passes."""
+    """The error for the first deviation above tol, or None when every check passes.
+
+    Raises ValueError for a NaN or negative tol.
+    """
+    check_tol(tol)
     for name, value in deviations.items():
         if value > tol:
             return ValidationError(name, f"{subject}: {_CHECKS[name][1]} {value:.3e} > {tol:.3e}", value)

@@ -332,9 +332,10 @@ def family_realization(
     |0 k>; the post-processing family maps the prepared states onto the vector
     system {psi_ik}: all products |i k> except psi_10 and psi_20, which mix in
     the alpha and beta couplings. Columns not pinned by those mappings are
-    completed deterministically.
+    completed deterministically. A parameter that _check_disk lets lie up to
+    tol outside the unit disk is scaled back onto it before it is pinned.
     """
-    alpha, beta = _check_disk(alpha, beta, tol)
+    alpha, beta = (z / max(abs(z), 1.0) for z in _check_disk(alpha, beta, tol))
     d = 3
 
     def e(a: int, b: int) -> np.ndarray:

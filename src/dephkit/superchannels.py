@@ -10,23 +10,33 @@ pair realizes one, and provides a brute-force full-circuit oracle.
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
 
-Realization engine: every check on an encode/decode/memory triple is read
-from two superoperators, each built once per call by one matrix product per
-Kraus operator. With b[i,t,p,g] and a[k,g,m,a] the decoder's and encoder's
-Kraus tensors ([sys_out, mem_out, sys_in, mem_in]), M the middle memory's
-dimension and tau the initial memory state:
+Realization engine. With b[i,t,p,g] and a[k,g,m,a] the decoder's and
+encoder's Kraus tensors ([sys_out, mem_out, sys_in, mem_in]), M the middle
+memory's dimension and tau the initial memory state, the simulation tensor
+contracts two superoperators:
 
     D[(i,p,j,q),(g,h)] = sum_t b[i,t,p,g] conj(b[j,t,q,h])
         a d^4 x M^2 matrix; entry (i, j) of Tr_mem N_de(|p><q| ⊗ |g><h|)
     E[k,g,m,l,h,n] = sum_ab a[k,g,m,a] tau[a,b] conj(a[l,h,n,b])
         shape (d, M, d, d, M, d); entry ((k, g), (l, h)) of N_en(|m><n| ⊗ tau)
     R[(i,p,j,q),(k,m,l,n)] = sum_gh D[(i,p,j,q),(g,h)] E[k,g,m,l,h,n]
-        a d^4 x d^4 matrix, one (d^4 x M^2)(M^2 x d^4) product; the
-        simulation tensor, built only for the mismatch audit
+        a d^4 x d^4 matrix, one (d^4 x M^2)(M^2 x d^4) product
 
-The realization checks cost O(d^4 M^2) from diagonal views of D and E: a
-composite index (x, y) of side d x d holds its matched entries x == y at
-stride d + 1.
+The four realization checks never build D or E. Each quantity they read is
+one contraction of the Kraus tensors, summed over the Kraus operators:
+
+    Tr_mem N_en(|m><n| ⊗ tau), one (d^2 x M M_in)(M M_in x d^2) product each
+    sigma_m = Tr_sys N_en(|m><m| ⊗ tau), batched over m
+    Tr_mem N_de(|p><q| ⊗ sigma_m), batched over m
+    the Gram entries R[(i,i,j,j),(k,k,l,l)], from the matched rows
+        D[(i,i,j,j),:] and the matched columns E[k,:,k,l,:,l]
+
+The fifth check, simulation-mismatch, is the largest |R| off the matched
+index tuples. When every encoder Kraus tensor vanishes exactly at k != m and
+every decoder Kraus tensor at i != p (the system-controlled form of a
+controlled-unitary realization), each such entry is a sum of products with
+an exact zero, so the check reads 0.0 without building anything. For any
+other triple that passes the first four, D, E and R are built as above.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from .linalg import (
     as_complex_matrix,
     basis_matrix,
     basis_vector,
+    check_tol,
     dagger,
     kron,
     max_abs,
@@ -331,9 +342,12 @@ class RealizationReport:
     The decoder check's detail names the lowest memory level m whose violation
     lies within tol of the worst, so rounding never picks among exact ties.
 
-    Only when those four checks pass does ``checks`` hold a fifth,
+    Every quantity of those four checks is a contraction of the Kraus
+    tensors. Only when they pass does ``checks`` hold a fifth,
     simulation-mismatch: the largest entry of the simulation tensor off the
-    matched index tuples, which must vanish for a genuine realization. So
+    matched index tuples, which must vanish for a genuine realization. It
+    reads exactly 0.0 for system-controlled Kraus tensors without building
+    the tensor, and is measured on the built tensor for any other triple. So
     ``passed`` means the triple realizes a dephasing superchannel at tol.
     The other four do not imply it at the same tol: perturbing a genuine
     decoder by exp(i eps H), they can grow as eps^2 while the mismatch grows
@@ -355,38 +369,62 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationReport:
-    """The four realization checks from D and E at O(d^4 M^2) cost, and the
-    simulation-mismatch check from R only when those four pass."""
-    d, mem = enc_op.shape[:2]
+def _system_controlled(kraus: list[np.ndarray]) -> bool:
+    """True iff every Kraus tensor [sys_out, mem_out, sys_in, mem_in] is exactly zero off sys_out == sys_in."""
+    off = ~np.eye(kraus[0].shape[0], dtype=bool)
+    return not any(k.transpose(0, 2, 1, 3)[off].any() for k in kraus)
+
+
+def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float) -> RealizationReport:
+    """The four realization checks from the Kraus tensors, and the
+    simulation-mismatch check only when those four pass."""
+    d, mem, mem_in, mem_out = enc.sys_in, enc.mem_out, enc.mem_in, dec.mem_out
+    enc_kraus, dec_kraus = enc.kraus_tensors(), dec.kraus_tensors()
 
     # Encoder: reduced[(k,m),(l,n)] = Tr_mem N_en(|m><n| ⊗ tau)[k, l]
-    # must vanish off (k, l) == (m, n).
-    reduced = np.einsum("kgmlgn->kmln", enc_op).reshape(d * d, d * d)
+    # must vanish off (k, l) == (m, n). Conditional memory states
+    # sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h]. Matched columns of E:
+    # enc_matched[(k,g),(l,h)] = N_en(|k><l| ⊗ tau)[(k,g),(l,h)].
+    reduced = np.zeros((d * d, d * d), dtype=complex)
+    sigma = np.zeros((d, mem, mem), dtype=complex)
+    enc_matched = np.zeros((d * mem, d * mem), dtype=complex)
+    for a in enc_kraus:
+        a_tau = a @ tau  # [k,g,m,b] = sum_a a[k,g,m,a] tau[a,b]
+        lhs, rhs = (t.transpose(0, 2, 1, 3).reshape(d * d, mem * mem_in) for t in (a_tau, a))
+        reduced += lhs @ rhs.conj().T  # sum over (g, b)
+        lhs, rhs = (t.transpose(2, 1, 0, 3).reshape(d, mem, d * mem_in) for t in (a_tau, a))
+        sigma += lhs @ rhs.conj().transpose(0, 2, 1)  # sum over (k, b), batched over m
+        lhs, rhs = (np.einsum("kgkb->kgb", t).reshape(d * mem, mem_in) for t in (a_tau, a))
+        enc_matched += lhs @ rhs.conj().T  # sum over b
     matched = reduced[:: d + 1, :: d + 1]
     c_en = matched.copy()
     matched[...] = 0.0
     enc_violation = max_abs(reduced)
 
-    # Conditional memory states sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h].
-    sigma = np.einsum("kgmkhm->mgh", enc_op)
-
-    # Decoder: images[(i,p),(j,q),m] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
-    # must vanish off (i, j) == (p, q).
-    images = (dec_op @ sigma.reshape(d, mem * mem).T).reshape(d * d, d * d, d)
-    matched = images[:: d + 1, :: d + 1]
-    c_de = tuple(matched[:, :, m].copy() for m in range(d))
+    # Decoder: images[m,(i,p),(j,q)] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
+    # must vanish off (i, j) == (p, q). Matched rows of D:
+    # dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
+    images = np.zeros((d, d * d, d * d), dtype=complex)
+    dec_matched = np.zeros((d * mem, d * mem), dtype=complex)
+    for b in dec_kraus:
+        rows = b.transpose(0, 2, 1, 3).reshape(d * d * mem_out, mem)  # [(i,p,t),g]
+        rows_sigma = (rows @ sigma).reshape(d, d * d, mem_out * mem)  # [m,(i,p),(t,h)]
+        images += rows_sigma @ rows.reshape(d * d, mem_out * mem).conj().T  # sum over (t, h)
+        rows = np.einsum("itig->igt", b).reshape(d * mem, mem_out)
+        dec_matched += rows @ rows.conj().T  # sum over t
+    matched = images[:, :: d + 1, :: d + 1]
+    c_de = tuple(matched.copy())
     matched[...] = 0.0
-    worst = np.abs(images).reshape(-1, d).max(axis=0)
+    worst = np.abs(images).reshape(d, -1).max(axis=1)
     dec_violation = float(worst.max())
     worst_m = int(np.argmax(worst >= dec_violation - tol))
     dec_detail = f"worst conditional memory index m={worst_m}" if dec_violation > 0.0 else ""
 
-    # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)], from the matched
-    # rows of D and the matched columns of E.
-    dec_matched = dec_op.reshape(d * d, d * d, mem * mem)[:: d + 1, :: d + 1]
-    enc_matched = np.einsum("kgklhl->ghkl", enc_op).reshape(mem * mem, d * d)
-    gram_entries = dec_matched.reshape(d * d, mem * mem) @ enc_matched  # [(i,j),(k,l)]
+    # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)]
+    #   = sum_gh dec_matched[(i,g),(j,h)] enc_matched[(k,g),(l,h)].
+    dec_matched = dec_matched.reshape(d, mem, d, mem).transpose(0, 2, 1, 3).reshape(d * d, mem * mem)
+    enc_matched = enc_matched.reshape(d, mem, d, mem).transpose(1, 3, 0, 2).reshape(mem * mem, d * d)
+    gram_entries = dec_matched @ enc_matched  # [(i,j),(k,l)]
     gram_entries = gram_entries.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     # Marginals of the extracted Gram matrix must reproduce c_en and c_de.
@@ -426,7 +464,12 @@ def _report(dec_op: np.ndarray, enc_op: np.ndarray, tol: float) -> RealizationRe
         ),
     )
     if all(c.passed for c in checks):
-        mismatch = _audit(_tensor(dec_op, enc_op), d)[1]
+        if _system_controlled(enc_kraus) and _system_controlled(dec_kraus):
+            # D vanishes exactly off i == p and E off k == m, so every
+            # mismatched entry of R is a sum of products with an exact zero.
+            mismatch = 0.0
+        else:
+            mismatch = _audit(_tensor(*_superoperators(enc, dec, tau)), d)[1]
         checks += (
             ConditionCheck(
                 "simulation-mismatch",
@@ -452,12 +495,14 @@ def verify_dephasing_realization(
 
     Every condition quantified over states is checked on the operator basis
     |m><n|, which is exact by linearity; the images of all basis operators
-    are diagonal views of the decoder and encoder superoperators. The
-    simulation tensor is built only for a triple that passes the other four
-    checks. Purely diagnostic: never raises on a failing realization.
+    are contractions of the Kraus tensors. The simulation tensor is built
+    only for a triple that passes the other four checks and is not
+    system-controlled. Purely diagnostic: never raises on a failing
+    realization. Raises ValueError for a NaN or negative tol.
     """
+    check_tol(tol)
     _check_simulation_dims(enc, dec, tau)
-    return _report(*_superoperators(enc, dec, as_complex_matrix(tau)), tol)
+    return _report(enc, dec, as_complex_matrix(tau), tol)
 
 
 def gram_from_simulation(
@@ -468,8 +513,8 @@ def gram_from_simulation(
     Refuses to return a matrix unless every check of
     verify_dephasing_realization passes: the realization conditions, which
     include the Gram invariants of the extracted matrix, and the vanishing
-    of the simulation tensor at all mismatched index tuples. D, E and R die
-    with that call, so the traceback of the error holds none of them.
+    of the simulation tensor at all mismatched index tuples. Whatever that
+    call builds dies with it, so the traceback of the error holds none of it.
     """
     report = verify_dephasing_realization(enc, dec, tau, tol)
     if not report.passed:

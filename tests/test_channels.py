@@ -153,6 +153,14 @@ def test_dephasing_channel_matches_schur_action():
         assert max_abs(apply_channel(ch, rho) - dephase_state(rho, c)) < 1e-12
 
 
+def test_dephasing_channel_holds_tp_at_the_callers_tol():
+    # A Gram matrix accepted at tol 1e-6 gives Kraus operators 5e-7 off TP.
+    c = gram_matrix([[1 + 5e-7, 0.5], [0.5, 1]], tol=1e-6)
+    with pytest.raises(ValidationError, match="sum K†K deviates"):
+        dephasing_channel(c)
+    assert dephasing_channel(c, tol=1e-6).trace_preserving
+
+
 def test_classical_action_identity_and_flip():
     assert np.array_equal(classical_action(identity_channel(3)), np.eye(3))
     assert np.array_equal(classical_action(unitary_channel(SX)), np.array([[0, 1], [1, 0]]))

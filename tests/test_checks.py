@@ -131,3 +131,9 @@ def test_every_validation_error_carries_a_finite_value(check, call):
         call()
     assert err.value.check == check
     assert err.value.value is not None and math.isfinite(err.value.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_nan_or_negative_tol_is_refused(tol):
+    with pytest.raises(ValueError, match="tolerance must be a nonnegative number"):
+        validate_super_gram(np.ones((4, 4)), 2, tol=tol)

@@ -169,6 +169,15 @@ def test_family_realizes_a_parameter_within_tol_of_the_disk(capsys):
     assert report["verdict"] == "pass"
 
 
+def test_family_realizes_a_parameter_at_the_edge_of_the_tol(capsys):
+    # |alpha| - 1 = 5e-10 passes the unit-disk check at the default tol 1e-9;
+    # pinned as given, its column would leave the unitary 1e-9 off.
+    code, report = run_json(capsys, "family", "--alpha", "1.0000000005", "--beta", "0", "--realize")
+    assert code == 0
+    res = next(d for d in report["details"] if "round-trip residual" in d["check"])
+    assert res["value"] <= 1e-9
+
+
 def test_apply_identity_channel_all_ones(capsys, tmp_path):
     ch_path = tmp_path / "id.json"
     gram_path = tmp_path / "ones.json"

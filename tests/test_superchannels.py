@@ -466,8 +466,9 @@ def realization_triple(kind, d, seed=0):
         ]
         return bipartite_channel(kraus, dims)
 
-    if kind == "diag":
-        return controlled(), controlled(), np.diag(rng.dirichlet(np.ones(mem))).astype(complex)
+    if kind in ("diag", "diag-kraus-rank-2"):
+        rank = 2 if kind == "diag-kraus-rank-2" else 1
+        return controlled(rank), controlled(rank), np.diag(rng.dirichlet(np.ones(mem))).astype(complex)
     if kind in ("coherent", "kraus-rank-2"):
         rank = 2 if kind == "kraus-rank-2" else 1
         v = rng.standard_normal(mem) + 1j * rng.standard_normal(mem)
@@ -497,10 +498,23 @@ def realization_triple(kind, d, seed=0):
             for level in range(mem)
         )
         return controlled_unitary_channel(store), bipartite_channel([flip], dims), tau
+    if kind == "fourier-on-an-empty-level":
+        # Genuine but not system-controlled: the encoder stores level m in
+        # memory level m, and the decoder applies a Fourier gate to the system
+        # only when the memory reads its last level, which the encoder never fills.
+        store = controlled_unitary_family(
+            [np.eye(mem, dtype=complex)] + [permutation(mem, 0, m) for m in range(1, d)]
+        )
+        gate = sum(
+            kron(fourier(d) if level == mem - 1 else np.eye(d), basis_matrix(level, level, mem))
+            for level in range(mem)
+        )
+        return controlled_unitary_channel(store), bipartite_channel([gate], dims), tau
     raise ValueError(kind)
 
 
-GENUINE_KINDS = ("diag", "coherent", "kraus-rank-2", "identity")
+CONTROLLED_KINDS = ("diag", "diag-kraus-rank-2", "coherent", "kraus-rank-2")
+GENUINE_KINDS = CONTROLLED_KINDS + ("identity", "fourier-on-an-empty-level")
 BROKEN_KINDS = ("unequal-memories", "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring")
 ENGINE_KINDS = GENUINE_KINDS + BROKEN_KINDS
 
@@ -587,7 +601,7 @@ def reference_evaluation(enc, dec, tau, tol=1e-9):
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_engine_matches_per_basis_reference(kind, d):
     enc, dec, tau = realization_triple(kind, d)
     ref = reference_evaluation(enc, dec, tau)
@@ -684,3 +698,57 @@ def test_reject_never_builds_the_simulation_tensor(kind, d, monkeypatch):
     assert len(report.checks) == 4 and not report.passed
     with pytest.raises(NotDephasingRealizationError):
         gram_from_simulation(enc, dec, tau)
+
+
+@pytest.mark.parametrize("kind", CONTROLLED_KINDS + ("identity",))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_controlled_accept_builds_no_superoperator(kind, d, monkeypatch):
+    # System-controlled Kraus tensors vanish exactly off the matched indices,
+    # so the mismatch reads 0.0 without D, E or the simulation tensor.
+    def refuse(*_):
+        raise AssertionError("superoperator built for a system-controlled triple")
+
+    monkeypatch.setattr(superchannels, "_superoperators", refuse)
+    monkeypatch.setattr(superchannels, "_tensor", refuse)
+    enc, dec, tau = realization_triple(kind, d)
+    report = verify_dephasing_realization(enc, dec, tau)
+    assert report.passed
+    assert report.checks[-1].name == "simulation-mismatch"
+    assert report.checks[-1].max_violation == 0.0
+    gram_from_simulation(enc, dec, tau)
+
+
+@pytest.mark.parametrize(
+    "make,passed",
+    [
+        (lambda: realization_triple("fourier-on-an-empty-level", 2), True),
+        (lambda: realization_triple("fourier-on-an-empty-level", 3), True),
+        (lambda: audit_only_triple(3e-5), False),
+    ],
+    ids=["fourier-d2", "fourier-d3", "audit-only"],
+)
+def test_triple_that_is_not_system_controlled_builds_the_tensor(make, passed, monkeypatch):
+    built, tensor = [], superchannels._tensor
+
+    def spy(*operators):
+        built.append(True)
+        return tensor(*operators)
+
+    monkeypatch.setattr(superchannels, "_tensor", spy)
+    enc, dec, tau = make()
+    report = verify_dephasing_realization(enc, dec, tau)
+    assert built == [True]
+    assert report.passed == passed
+    mismatch = report.checks[-1]
+    assert mismatch.name == "simulation-mismatch"
+    assert mismatch.max_violation == verify_simulation_consistency(enc, dec, tau).max_mismatch
+    assert (mismatch.max_violation == 0.0) == passed
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_realization_refuses_a_nan_or_negative_tol(tol):
+    enc, dec, tau = realization_triple("diag", 2)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_dephasing_realization(enc, dec, tau, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        gram_from_simulation(enc, dec, tau, tol=tol)
