@@ -12,6 +12,7 @@ realization and a bundled experimental qubit matrix round out the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
     basis_vector,
+    check_tol,
     kron,
     max_abs,
     min_eig_hermitian,
@@ -49,6 +51,7 @@ def _passive_deviation(sg: SuperGram) -> float:
 
 def is_passive_compatible(sg: SuperGram, tol: float = DEFAULT_TOL) -> bool:
     """True iff every block of the Gram matrix has a constant diagonal within tol."""
+    check_tol(tol)
     return _passive_deviation(sg) <= tol
 
 
@@ -132,16 +135,18 @@ def _circle_gram(theta: float) -> np.ndarray:
     return np.array([[1.0, np.exp(-1j * theta)], [np.exp(1j * theta), 1.0]])
 
 
+# Entry ((a, c), (b, d)) of C(theta) ⊗ C(phi) is exp(i((a-b) theta + (c-d) phi)):
+# row 4(2a + c) + 2b + d of this table holds (a - b, c - d).
+_EXPONENTS = np.array([(a - b, c - d) for a, c, b, d in np.ndindex(2, 2, 2, 2)])
+# Row 3(p+1) + (q+1) of this map sums the entries whose exponents are (p, q). It is
+# built in Python: a broadcast == at import adds about 0.3 MB to every process's peak RSS.
+_EXPONENT_SUMS = np.array([[float(3 * (p + 1) + (q + 1) == row) for p, q in _EXPONENTS.tolist()] for row in range(9)])
+
+
 def _product_column(theta: float, phi: float) -> np.ndarray:
-    m = kron(_circle_gram(theta), _circle_gram(phi)).ravel()
+    m = np.exp(1j * (_EXPONENTS @ (theta, phi)))
     return np.concatenate([m.real, m.imag])
 
-
-# Entry ((a, c), (b, d)) of C(theta) ⊗ C(phi) is exp(i(a-b)theta) exp(i(c-d)phi).
-# Row 3(p+1) + (q+1) of this map sums the entries whose exponents are (p, q).
-_EXPONENT_SUMS = np.array(
-    [[float(3 * (a - b + 1) + (c - d + 1) == row) for a, c, b, d in np.ndindex(2, 2, 2, 2)] for row in range(9)]
-)
 
 # An atom C(theta) ⊗ C(phi) has Frobenius norm 4, so the score Re<R, atom>
 # carries rounding of about 1e-16 * 4 ||target||. A best score below
@@ -152,12 +157,15 @@ _NO_GAIN_RTOL = 1e-13
 _MAX_ROUNDS = 100
 # Newton converges quadratically from the ~1e-8 accurate root candidate.
 _NEWTON_STEPS = 4
+# Near its maximum f is flat to rounding, which is a few machine epsilons
+# times sum_k |a_k| + |b_k|: a Newton step may lower f by this factor times it.
+_NEWTON_SLACK = 8 * float(np.finfo(float).eps)
 
 
-def _trig(coef: np.ndarray, theta, derivative: int = 0):
-    """sum_k (ik)^derivative coef_k e^{ik theta} for k = -n..n."""
-    k = np.arange(coef.size) - coef.size // 2
-    return np.exp(1j * np.multiply.outer(theta, k)) @ (coef * (1j * k) ** derivative)
+def _jet(c: list[complex], z: complex) -> tuple[complex, complex, complex]:
+    """C, C' and C'' at theta for C(theta) = c_{-1} e^{-i theta} + c_0 + c_1 e^{i theta}, z = e^{i theta}."""
+    lo, hi = c[0] / z, c[2] * z
+    return lo + c[1] + hi, 1j * (hi - lo), -(hi + lo)
 
 
 def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
@@ -169,10 +177,16 @@ def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
     Q = 4 |B|^2 f' g' = 0 with g = A - |B|: a degree-4 trigonometric
     (degree-8 algebraic) polynomial whose roots hold every stationary point
     of f, unless g is constant (a product target), where f = 2A + const
-    peaks at -arg a_1. Near such targets, or where squaring makes the
-    maximizer a double root, np.roots resolves it only to about the square
-    root of machine precision, so the best candidate is polished by Newton
-    steps on f.
+    peaks at -arg a_1. The candidates are scored in one vectorized pass.
+    Near product targets, or where squaring makes the maximizer a double
+    root, np.roots resolves it only to about the square root of machine
+    precision, so the best candidate is polished by Newton steps on f. They
+    run on scalars: A, B and their first two derivatives come from one
+    z = e^{i theta} (see ``_jet``), and f is carried from one step to the
+    next. A step is refused when f'' is not negative or when f falls by more
+    than its rounding, eight machine epsilons times sum_k |a_k| + |b_k|
+    (_NEWTON_SLACK): at a maximum f is flat to rounding, and a comparison
+    without that slack would let rounding refuse the last steps.
     """
     s = (_EXPONENT_SUMS @ rest.conj().ravel()).reshape(3, 3)  # s[p + 1, q + 1]
     a = (s[:, 1] + s[::-1, 1].conj()) / 2  # A(theta) = sum_p a_p e^{ip theta}, real
@@ -182,25 +196,32 @@ def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
     dbb = bb * 1j * np.arange(-2, 3)
     q = 4 * np.convolve(np.convolve(da, da), bb) - np.convolve(dbb, dbb)
     thetas = np.concatenate([np.angle(np.roots(q[::-1])), [-np.angle(a[2]), 0.0]])
+    z = np.exp(1j * thetas)
+    scores = (a[0] / z + a[1] + a[2] * z).real + np.abs(b[0] / z + b[1] + b[2] * z)
+    best = int(np.argmax(scores))
+    theta, f = float(thetas[best]), float(scores[best])
 
-    def f(theta):
-        return _trig(a, theta).real + np.abs(_trig(b, theta))
-
-    theta = thetas[np.argmax(f(thetas))]
+    slack = _NEWTON_SLACK * float(np.abs(a).sum() + np.abs(b).sum())
+    a, b = a.tolist(), b.tolist()
+    z = complex(math.cos(theta), math.sin(theta))
+    jet_a, jet_b = _jet(a, z), _jet(b, z)
     for _ in range(_NEWTON_STEPS):
-        bv, db, d2b = (_trig(b, theta, n) for n in range(3))
-        mod = abs(bv)
+        (_, a1, a2), (b0, b1, b2) = jet_a, jet_b
+        mod = abs(b0)
         if mod == 0:
             break
-        dmod = (bv.conjugate() * db).real / mod
-        df = _trig(a, theta, 1).real + dmod
-        d2f = _trig(a, theta, 2).real + (abs(db) ** 2 + (bv.conjugate() * d2b).real - dmod**2) / mod
-        if not d2f < 0 or f(theta - df / d2f) < f(theta):
+        dmod = (b0.conjugate() * b1).real / mod
+        d2f = a2.real + (abs(b1) ** 2 + (b0.conjugate() * b2).real - dmod**2) / mod
+        if not d2f < 0:
             break
-        theta = theta - df / d2f
-    theta = float(np.mod(theta, 2 * np.pi))
-    phi = float(np.mod(-np.angle(_trig(b, theta)), 2 * np.pi))
-    return theta, phi, float(f(theta))
+        step = theta - (a1.real + dmod) / d2f
+        z = complex(math.cos(step), math.sin(step))
+        step_a, step_b = _jet(a, z), _jet(b, z)
+        step_f = step_a[0].real + abs(step_b[0])
+        if step_f < f - slack:
+            break
+        theta, f, jet_a, jet_b = step, step_f, step_a, step_b
+    return theta % math.tau, -math.atan2(jet_b[0].imag, jet_b[0].real) % math.tau, f
 
 
 def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductDecomposition:
@@ -214,10 +235,11 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     Carathéodory bound for the 9-dimensional span of the atoms. Raises
     DecompositionError with the residual when no atom improves the fit (the
     matrix is not a product mixture within ``tol``) or after ``_MAX_ROUNDS``
-    atoms.
+    atoms, and ValueError for a NaN or negative ``tol``.
     """
     from scipy.optimize import nnls  # the package's only scipy use: keep it off every import path
 
+    check_tol(tol)
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
     if (deviation := _passive_deviation(sg)) > tol:
@@ -272,6 +294,7 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 
 
 def _check_disk(alpha: complex, beta: complex, tol: float) -> tuple[complex, complex]:
+    check_tol(tol)
     alpha, beta = complex(alpha), complex(beta)
     excess = max(abs(alpha), abs(beta)) - 1
     if excess > tol:

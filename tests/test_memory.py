@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephkit import (
     DecompositionError,
@@ -22,7 +26,14 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit.linalg import basis_vector, max_abs, measure
-from dephkit.memory import NMR_VALIDATION_TOL, _best_atom, _circle_gram
+from dephkit.memory import (
+    _EXPONENT_SUMS,
+    _NEWTON_STEPS,
+    NMR_VALIDATION_TOL,
+    _best_atom,
+    _circle_gram,
+    _product_column,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -61,6 +72,12 @@ def test_product_grams_are_passive_compatible():
 def test_cmax_is_not_passive_compatible(cmax):
     assert not is_passive_compatible(cmax, 1e-9)
     assert memory_activity_qubit(cmax) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_passive_compatibility_refuses_a_nan_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        is_passive_compatible(random_super_gram(2, 0), tol)
 
 
 def test_nmr_matrix_is_not_passive_compatible():
@@ -197,6 +214,13 @@ def test_decompose_nearest_passive_nmr():
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_decompose_refuses_a_nan_or_negative_tol(tol):
+    sg = nearest_passive_qubit(random_super_gram(2, 700))
+    with pytest.raises(ValueError, match="tolerance"):
+        decompose_product_qubit(sg, tol=tol)
+
+
 def test_decompose_rejects_cmax(cmax):
     with pytest.raises(ValidationError) as err:
         decompose_product_qubit(cmax)
@@ -237,12 +261,51 @@ def _dense_best_score(rest, n=4096):
     return float(((k[:, 0, 0] + k[:, 1, 1]).real + np.abs(k[:, 1, 0] + k[:, 0, 1].conj())).max())
 
 
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("radius", [1.0, 0.6])
+def _reference_trig(coef, theta, derivative=0):
+    """sum_k (ik)^derivative coef_k e^{ik theta} for k = -n..n."""
+    k = np.arange(coef.size) - coef.size // 2
+    return np.exp(1j * np.multiply.outer(theta, k)) @ (coef * (1j * k) ** derivative)
+
+
+def reference_best_atom(rest):
+    """The pricing evaluated with numpy trigonometric sums, each Newton step
+    refused if f falls at all: the oracle for the scalar kernel of _best_atom."""
+    s = (_EXPONENT_SUMS @ rest.conj().ravel()).reshape(3, 3)
+    a = (s[:, 1] + s[::-1, 1].conj()) / 2
+    b = s[:, 2] + s[::-1, 0].conj()
+    bb = np.convolve(b, b[::-1].conj())
+    da = a * 1j * np.arange(-1, 2)
+    dbb = bb * 1j * np.arange(-2, 3)
+    q = 4 * np.convolve(np.convolve(da, da), bb) - np.convolve(dbb, dbb)
+    thetas = np.concatenate([np.angle(np.roots(q[::-1])), [-np.angle(a[2]), 0.0]])
+
+    def f(theta):
+        return _reference_trig(a, theta).real + np.abs(_reference_trig(b, theta))
+
+    theta = thetas[np.argmax(f(thetas))]
+    for _ in range(_NEWTON_STEPS):
+        bv, db, d2b = (_reference_trig(b, theta, n) for n in range(3))
+        mod = abs(bv)
+        if mod == 0:
+            break
+        dmod = (bv.conjugate() * db).real / mod
+        df = _reference_trig(a, theta, 1).real + dmod
+        d2f = _reference_trig(a, theta, 2).real + (abs(db) ** 2 + (bv.conjugate() * d2b).real - dmod**2) / mod
+        if not d2f < 0 or f(theta - df / d2f) < f(theta):
+            break
+        theta = theta - df / d2f
+    theta = float(np.mod(theta, 2 * np.pi))
+    phi = float(np.mod(-np.angle(_reference_trig(b, theta)), 2 * np.pi))
+    return theta, phi, float(f(theta))
+
+
+@pytest.mark.parametrize("seed", range(200))
+@pytest.mark.parametrize("radius", [1.0, 0.9, 0.6, 0.3])
 def test_pricing_is_exact_on_product_residuals(seed, radius):
     # The best atom for w C(r, t1) ⊗ C(r, t2) sits at (t1, t2). Unit radius
     # makes the squared stationarity polynomial vanish identically; a radius
-    # below 1 makes the maximizer a double root of it.
+    # below 1 makes the maximizer a double root of it, where f is flat to
+    # rounding and only a rounding-aware Newton guard lands on it every time.
     rng = np.random.default_rng(seed + 4000)
     t1, t2 = 2 * np.pi * rng.random(2)
     theta, phi, _ = _best_atom(rng.uniform(0.1, 3) * kron(disk_gram(radius, t1), disk_gram(radius, t2)))
@@ -250,15 +313,38 @@ def test_pricing_is_exact_on_product_residuals(seed, radius):
     assert abs(np.angle(np.exp(1j * (phi - t2)))) < 1e-12
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_pricing_finds_the_best_product_atom(seed):
-    rng = np.random.default_rng(seed + 3000)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rest = g + g.conj().T
+def _assert_best_atom(rest):
     theta, phi, score = _best_atom(rest)
     atom = kron(_circle_gram(theta), _circle_gram(phi))
     assert score == pytest.approx(float((rest.conj() * atom).sum().real), abs=1e-12)
     assert score >= _dense_best_score(rest) - 1e-12
+    return score
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pricing_finds_the_best_product_atom(seed):
+    rng = np.random.default_rng(seed + 3000)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    _assert_best_atom(g + g.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0, 1), st.floats(0, 1))
+def test_pricing_matches_the_reference_kernel(seed, blend, radius):
+    # Random Hermitian residuals, blended towards a product target where the
+    # maximizer is a double root (radius < 1) or Q vanishes (radius 1).
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    t1, t2 = 2 * np.pi * rng.random(2)
+    product = kron(disk_gram(radius, t1), disk_gram(radius, t2))
+    rest = (1 - blend) * (g + g.conj().T) + blend * product
+    assert _assert_best_atom(rest) >= reference_best_atom(rest)[2] - 1e-12
+
+
+@pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.7123, 2.4988), (np.pi, -np.pi / 2), (5.9, 3.1)])
+def test_product_column_matches_kron(theta, phi):
+    m = kron(_circle_gram(theta), _circle_gram(phi)).ravel()
+    assert max_abs(_product_column(theta, phi) - np.concatenate([m.real, m.imag])) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +408,13 @@ def test_family_disk_check_follows_tol():
         family_ppt_closed_form(alpha, 0, tol=1e-13)
     assert err.value.check == "unit-disk"
     assert err.value.value == pytest.approx(5e-13, rel=1e-3)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_family_refuses_a_nan_or_negative_tol(tol):
+    # 2 lies outside the unit disk, so no tol may let the closed form answer.
+    with pytest.raises(ValueError, match="tolerance"):
+        family_ppt_closed_form(2, 0, tol=tol)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.8, 0.5j), (1, 0), (0.3, -1j)])
