@@ -40,12 +40,12 @@ def readonly_copy(m: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose; of each matrix, for a stack of matrices."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†) / 2."""
+    """Hermitian part (m + m†) / 2, of each matrix for a stack."""
     return (m + dagger(m)) / 2
 
 
@@ -134,27 +134,28 @@ def max_abs(m: np.ndarray) -> float:
 
 # Measure layer: each named invariant is measured by one function, as a finite
 # deviation that passes a check at tolerance tol when it is <= tol. Validators
-# raise from ``require``; the CLI renders ``measure``.
+# raise from ``require``; the CLI renders ``measure``. The matrix invariants
+# also take a stack of matrices (..., k, k), and measure its worst member.
 
 
 def _unit_diagonal(m: np.ndarray) -> float:
-    return max_abs(np.diag(m) - 1.0)
+    return max_abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0)
 
 
 def _hermitian(m: np.ndarray) -> float:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"Hermiticity is defined for square matrices, got {m.shape}")
     return max_abs(m - dagger(m))
 
 
 def _psd(m: np.ndarray) -> float:
     """-λ_min of the Hermitian part, negative when m is positive definite; measured after "hermitian",
-    which refuses a non-square m."""
-    return -float(np.linalg.eigvalsh(hermitize(m))[0])
+    which refuses a non-square m. An empty stack reads -inf."""
+    return -float(np.linalg.eigvalsh(hermitize(m))[..., 0].min(initial=np.inf))
 
 
 def _unit_trace(m: np.ndarray) -> float:
-    return float(abs(np.trace(m) - 1.0))
+    return max_abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
 
 
 def _equal_diagonal_blocks(m: np.ndarray) -> float:
@@ -166,7 +167,7 @@ def _equal_diagonal_blocks(m: np.ndarray) -> float:
 
 def _trace_preserving(kraus) -> float:
     """max |sum K†K - I| over a sequence of Kraus operators."""
-    return max_abs(sum(dagger(k) @ k for k in kraus) - np.eye(kraus[0].shape[1]))
+    return max_abs(sum(dagger(k) @ k for k in kraus) - np.eye(kraus[0].shape[-1]))
 
 
 def _jamiolkowski_tp(jam: np.ndarray) -> float:
@@ -206,11 +207,11 @@ def measure(x, checks: Iterable[str]) -> dict[str, float]:
 def violation(deviations: Mapping[str, float], tol: float, subject: str = "matrix") -> ValidationError | None:
     """The error for the first deviation above tol, or None when every check passes.
 
-    Raises ValueError for a NaN or negative tol.
+    A NaN deviation fails its check. Raises ValueError for a NaN or negative tol.
     """
     check_tol(tol)
     for name, value in deviations.items():
-        if value > tol:
+        if not value <= tol:
             return ValidationError(name, f"{subject}: {_CHECKS[name][1]} {value:.3e} > {tol:.3e}", value)
     return None
 

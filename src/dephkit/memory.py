@@ -6,8 +6,10 @@ to carry a constant diagonal. For qubit superchannels the set realizable
 with passive memory is exactly the set of mixtures of product Gram matrices,
 and the l1 distance to it has the closed form implemented here, together
 with an explicit nearest passive matrix and an exact product decomposition
-(at most 9 terms, found by column generation) that certifies membership. A one-parameter qutrit family with its controlled-unitary
-realization and a bundled experimental qubit matrix round out the module.
+(at most 9 terms, found by column generation run as a warm-started
+Lawson-Hanson nonnegative least squares) that certifies membership. A
+one-parameter qutrit family with its controlled-unitary realization and a
+bundled experimental qubit matrix round out the module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GramMatrix, gram_matrix
+from .channels import GramMatrix
 from .errors import DecompositionError, DimensionError, ValidationError
 from .io import bundled_data_path, read_matrix
 from .linalg import (
@@ -29,6 +31,7 @@ from .linalg import (
     max_abs,
     min_eig_hermitian,
     partial_transpose,
+    require,
 )
 from .superchannels import ControlledUnitaryFamily, SuperGram, controlled_unitary_family, validate_super_gram
 
@@ -130,9 +133,14 @@ class ProductDecomposition:
         return float(sum(t.weight for t in self.terms))
 
 
-def _circle_gram(theta: float) -> np.ndarray:
-    """2x2 Gram matrix of a pure state on the equator of the Bloch x-y plane."""
-    return np.array([[1.0, np.exp(-1j * theta)], [np.exp(1j * theta), 1.0]])
+def _circle_gram(theta) -> np.ndarray:
+    """2x2 Gram matrix of a pure state on the equator of the Bloch x-y plane; for an
+    array of angles, the stack of those matrices, indexed as the angles."""
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    out = np.ones(z.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = z.conj()
+    out[..., 1, 0] = z
+    return out
 
 
 # Entry ((a, c), (b, d)) of C(theta) ⊗ C(phi) is exp(i((a-b) theta + (c-d) phi)):
@@ -153,7 +161,7 @@ def _product_column(theta: float, phi: float) -> np.ndarray:
 # _NO_GAIN_RTOL * 4 ||target|| is taken as "no product atom improves the fit".
 _NO_GAIN_RTOL = 1e-13
 # Column generation adds one atom per round; the optimum needs at most 9, and
-# NNLS gives the atoms that later ones supersede zero weight.
+# the Lawson-Hanson refit drops the atoms that later ones supersede.
 _MAX_ROUNDS = 100
 # Newton converges quadratically from the ~1e-8 accurate root candidate.
 _NEWTON_STEPS = 4
@@ -224,21 +232,33 @@ def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
     return theta % math.tau, -math.atan2(jet_b[0].imag, jet_b[0].real) % math.tau, f
 
 
+def _stalled(residual: float, tol: float) -> DecompositionError:
+    return DecompositionError(
+        f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}: no product atom improves the fit",
+        residual,
+    )
+
+
 def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductDecomposition:
     """Decompose a passive-compatible qubit Gram matrix into product terms.
 
-    Column generation over nonnegative least squares: the weights of the
-    atoms found so far, products C(theta) ⊗ C(phi) of equatorial 2x2 Gram
-    matrices, are refit by NNLS, and the atom that best matches the residual
-    is found exactly (see ``_best_atom``) and added, until the entrywise
-    residual is at most ``tol``. The result has at most 9 terms, the
+    Column generation run as a warm-started Lawson-Hanson NNLS (Lawson and
+    Hanson, *Solving Least Squares Problems*, 1974, ch. 23). The atoms are
+    products C(theta) ⊗ C(phi) of equatorial 2x2 Gram matrices. Each round
+    prices the atom that best matches the residual exactly (see
+    ``_best_atom``): its score is the negative gradient of the squared fit
+    error along that atom, so it is Lawson-Hanson's entering column. It joins
+    the atoms of positive weight with weight 0, and the inner loop refits: a
+    least-squares solve on those atoms is accepted when every weight is
+    positive; otherwise the weights step towards it up to the first zero
+    crossing and the atoms that reach zero leave. This repeats until the
+    entrywise residual is at most ``tol``. The result has at most 9 terms, the
     Carathéodory bound for the 9-dimensional span of the atoms. Raises
-    DecompositionError with the residual when no atom improves the fit (the
-    matrix is not a product mixture within ``tol``) or after ``_MAX_ROUNDS``
-    atoms, and ValueError for a NaN or negative ``tol``.
+    DecompositionError with the residual when no atom improves the fit or the
+    entering atom's own least-squares weight is not positive (the matrix is not
+    a product mixture within ``tol``), or after ``_MAX_ROUNDS`` atoms, and
+    ValueError for a NaN or negative ``tol``.
     """
-    from scipy.optimize import nnls  # the package's only scipy use: keep it off every import path
-
     check_tol(tol)
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
@@ -253,37 +273,48 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     target = sg.mat
     b = np.concatenate([target.real.ravel(), target.imag.ravel()])
     no_gain = _NO_GAIN_RTOL * 4 * np.linalg.norm(b)
-    atoms: list[tuple[float, float]] = []
+    # The passive set: the atoms of positive weight, their columns and weights.
+    atoms = np.empty((0, 2))
     columns = np.empty((32, 0))
     weights = np.empty(0)
     rest = target
+    rounds = 0
     while (residual := max_abs(rest)) > tol:
-        if len(atoms) == _MAX_ROUNDS:
+        if rounds == _MAX_ROUNDS:
             raise DecompositionError(
-                f"product decomposition stopped after {len(atoms)} atoms at residual {residual:.3e} > {tol:.1e}",
+                f"product decomposition stopped after {rounds} atoms at residual {residual:.3e} > {tol:.1e}",
                 residual,
             )
         theta, phi, score = _best_atom(rest)
         if score <= no_gain:
-            raise DecompositionError(
-                f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}: "
-                "no product atom improves the fit",
-                residual,
-            )
-        atoms.append((theta, phi))
+            raise _stalled(residual, tol)
+        rounds += 1
+        atoms = np.vstack([atoms, (theta, phi)])
         columns = np.column_stack([columns, _product_column(theta, phi)])
-        weights, _ = nnls(columns, b)
+        weights = np.append(weights, 0.0)
+        for _ in range(weights.size):  # a pass that does not accept drops at least one atom
+            ls = np.linalg.lstsq(columns, b, rcond=None)[0]
+            if (ls > 0).all():
+                weights = ls
+                break
+            if weights[-1] == 0 and not ls[-1] > 0:  # only the entering atom has weight 0
+                raise _stalled(residual, tol)
+            down = np.flatnonzero(ls <= 0)
+            ratios = weights[down] / (weights[down] - ls[down])
+            weights = weights + ratios.min() * (ls - weights)
+            weights[down[ratios.argmin()]] = 0.0
+            keep = weights > 0
+            atoms, columns, weights = atoms[keep], columns[:, keep], weights[keep]
         fit = columns @ weights
         rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
 
+    # Both factors of every term, validated as Gram matrices in one pass.
+    factors = _circle_gram(atoms)
+    require(factors.reshape(-1, 2, 2), ("unit-diagonal", "hermitian", "psd"), DEFAULT_TOL, "Gram matrix")
+    factors.setflags(write=False)
     terms = tuple(
-        ProductTerm(
-            weight=float(w),
-            c1=gram_matrix(_circle_gram(th)),
-            c2=gram_matrix(_circle_gram(ph)),
-        )
-        for w, (th, ph) in zip(weights, atoms)
-        if w > 0
+        ProductTerm(weight=float(w), c1=GramMatrix(mat=c1), c2=GramMatrix(mat=c2))
+        for w, (c1, c2) in zip(weights, factors)
     )
     return ProductDecomposition(terms=terms, residual=residual)
 
@@ -296,6 +327,9 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 def _check_disk(alpha: complex, beta: complex, tol: float) -> tuple[complex, complex]:
     check_tol(tol)
     alpha, beta = complex(alpha), complex(beta)
+    bad = sum(not math.isfinite(x) for z in (alpha, beta) for x in (z.real, z.imag))
+    if bad:  # max() below would drop a NaN modulus
+        raise ValidationError("finite-entries", f"parameters must be finite, got a = {alpha}, b = {beta}", bad)
     excess = max(abs(alpha), abs(beta)) - 1
     if excess > tol:
         raise ValidationError(

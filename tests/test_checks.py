@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CMAX
 from dephkit import (
@@ -22,7 +24,7 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
-from dephkit.linalg import measure
+from dephkit.linalg import measure, require, violation
 from dephkit.superchannels import SUPER_GRAM_CHECKS
 
 TOLS = (1e-9, 1e-6)
@@ -137,3 +139,36 @@ def test_every_validation_error_carries_a_finite_value(check, call):
 def test_nan_or_negative_tol_is_refused(tol):
     with pytest.raises(ValueError, match="tolerance must be a nonnegative number"):
         validate_super_gram(np.ones((4, 4)), 2, tol=tol)
+
+
+# The checks whose kernels also measure a stack of matrices (..., k, k).
+STACKED = ("unit-diagonal", "hermitian", "psd", "unit-trace", "unitary")
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("check", STACKED)
+def test_one_bad_matrix_in_a_stack_trips_its_check(check, tol):
+    good, checks, _ = _case(check, 0.5 * tol, tol)
+    bad, _, _ = _case(check, 1.5 * tol, tol)
+    stack = np.stack([good, bad, good])
+    deviations = measure(stack, checks)
+    assert deviations == {name: max(measure(m, (name,))[name] for m in stack) for name in checks}
+    with pytest.raises(ValidationError) as err:
+        require(stack, checks, tol)
+    assert err.value.check == check
+    assert err.value.value == measure(bad, checks)[check]
+    require(np.stack([good, good]), checks, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 10**6))
+def test_stack_measure_is_the_worst_of_its_matrices(n, k, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+    per_matrix = [measure(m, STACKED) for m in stack]
+    assert measure(stack, STACKED) == {name: max(d[name] for d in per_matrix) for name in STACKED}
+
+
+def test_nan_deviation_fails_its_check():
+    exc = violation({"unit-diagonal": 0.0, "hermitian": math.nan}, 1e-9)
+    assert exc is not None and exc.check == "hermitian"

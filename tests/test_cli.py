@@ -482,10 +482,22 @@ def test_bad_tolerance_is_a_parse_error(capsys, monkeypatch, source, value):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _scipy_loaded_after(code):
+    """Run code in a fresh interpreter on this source tree; whether scipy was imported."""
     src = Path(dephkit.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, dephkit.cli; print('scipy' in sys.modules)"
+    probe = f"import sys; {code}; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert not _scipy_loaded_after("import dephkit.cli")
+
+
+def test_certificate_leaves_scipy_unloaded():
+    assert not _scipy_loaded_after(
+        "from dephkit import decompose_product_qubit, nearest_passive_qubit, random_super_gram; "
+        "decompose_product_qubit(nearest_passive_qubit(random_super_gram(2, 0)))"
+    )

@@ -25,6 +25,7 @@ from dephkit import (
     random_super_gram,
     validate_super_gram,
 )
+from dephkit import memory
 from dephkit.linalg import basis_vector, max_abs, measure
 from dephkit.memory import (
     _EXPONENT_SUMS,
@@ -212,6 +213,53 @@ def test_decompose_nearest_passive_matrices(seed):
 def test_decompose_nearest_passive_nmr():
     sg = nearest_passive_qubit(nmr_experimental_gram(), tol=NMR_VALIDATION_TOL)
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("seed", range(100))
+def test_decompose_nearest_passive_sweep(seed, tol):
+    sg = nearest_passive_qubit(random_super_gram(2, seed))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=tol), tol)
+
+
+def test_decompose_sweep_takes_drop_steps(monkeypatch):
+    # A least-squares solve beyond one per priced atom is a Lawson-Hanson
+    # drop step: some of the sweep's targets must take one.
+    counts = {"priced": 0, "solves": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(memory, "_best_atom", counted("priced", memory._best_atom))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("solves", np.linalg.lstsq))
+    dropped = 0
+    for seed in range(100):
+        before = counts["solves"] - counts["priced"]
+        decompose_product_qubit(nearest_passive_qubit(random_super_gram(2, seed)))
+        dropped += counts["solves"] - counts["priced"] > before
+    assert dropped > 0
+
+
+def test_decompose_stalls_when_the_entering_atom_cannot_enter(monkeypatch):
+    # An oracle that prices C(pi) ⊗ C(0) second, against the all-ones target
+    # fitted by 1/2 C(pi/2) ⊗ C(0): that atom lowers the fit error only with a
+    # negative weight (-1/3), so the search must stop rather than loop, at the
+    # first fit's residual |1 - i/2|.
+    atoms = iter([(np.pi / 2, 0.0, 1.0), (np.pi, 0.0, 1.0)])
+    monkeypatch.setattr(memory, "_best_atom", lambda rest: next(atoms))
+    with pytest.raises(DecompositionError, match="stalled") as err:
+        decompose_product_qubit(validate_super_gram(np.ones((4, 4)), 2))
+    assert err.value.residual == pytest.approx(math.sqrt(1.25), abs=1e-15)
+
+
+def test_decompose_within_an_infinite_tol_has_no_terms():
+    dec = decompose_product_qubit(validate_super_gram(np.ones((4, 4)), 2), tol=math.inf)
+    assert dec.terms == ()
+    assert dec.residual == 1.0
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
@@ -415,6 +463,17 @@ def test_family_refuses_a_nan_or_negative_tol(tol):
     # 2 lies outside the unit disk, so no tol may let the closed form answer.
     with pytest.raises(ValueError, match="tolerance"):
         family_ppt_closed_form(2, 0, tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex("nan"), complex(0.5, math.nan), math.inf])
+@pytest.mark.parametrize("position", ["alpha", "beta"])
+@pytest.mark.parametrize("fn", [family_gram, family_ppt_closed_form, family_realization])
+def test_family_refuses_a_non_finite_parameter(fn, position, bad):
+    # max(|a|, |b|) drops a NaN modulus, so the disk check alone let a NaN through.
+    params = {"alpha": 0.5, "beta": 0.5, position: bad}
+    with pytest.raises(ValidationError) as err:
+        fn(**params)
+    assert err.value.check == "finite-entries"
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.8, 0.5j), (1, 0), (0.3, -1j)])
