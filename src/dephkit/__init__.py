@@ -7,7 +7,6 @@ from .bloch import (
     affine_map,
     gram_action_on_affine,
     jamiolkowski_from_affine,
-    project_to_xy,
     xy_plane_projection,
 )
 from .channels import (
@@ -18,16 +17,12 @@ from .channels import (
     channel_from_kraus,
     classical_action,
     coherence_generating_power,
-    compose,
     density_matrix,
-    dephase_state,
     dephasing_channel,
     gram_matrix,
     identity_channel,
-    is_mio,
     jamiolkowski,
     l1_coherence,
-    max_dephase,
     max_entangled_state,
     maximally_dephasing_channel,
     random_channel,
@@ -44,13 +39,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    is_psd,
     kron,
     min_eig_hermitian,
     partial_trace,
     partial_transpose,
     reshuffle,
-    schur,
 )
 from .memory import (
     ProductDecomposition,
@@ -79,9 +72,7 @@ from .superchannels import (
     controlled_unitary_family,
     gram_from_controlled_unitaries,
     gram_from_simulation,
-    identity_bipartite,
     identity_super_gram,
-    marginal_grams,
     random_controlled_family,
     random_super_gram,
     validate_super_gram,

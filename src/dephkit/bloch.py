@@ -114,12 +114,6 @@ def affine_from_jamiolkowski(jam: np.ndarray) -> AffineMap:
     return _affine_from_action(lambda x: 2 * np.einsum("ikjl,kl->ij", j4, x))
 
 
-def project_to_xy(a: AffineMap) -> AffineMap:
-    """Compose the x-y plane projection after the map: kills the z row of (Lambda, t)."""
-    p = np.diag([1.0, 1.0, 0.0])
-    return affine_map(p @ a.lam, p @ a.t)
-
-
 def gram_action_on_affine(sg: SuperGram, a: AffineMap, tol: float = DEFAULT_TOL) -> AffineMap:
     """Affine parameters of a CP-TP qubit map after a dephasing superchannel.
 

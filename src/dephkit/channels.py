@@ -20,7 +20,6 @@ from .linalg import (
     basis_matrix,
     dagger,
     kron,
-    max_abs,
     psd_factors,
     readonly_copy,
     require,
@@ -94,17 +93,6 @@ def unitary_channel(u) -> Channel:
     return channel_from_kraus([u])
 
 
-def compose(after: Channel, before: Channel) -> Channel:
-    """Channel composition after∘before via Kraus products."""
-    if before.dim_out != after.dim_in:
-        raise DimensionError(
-            f"cannot compose: inner dims {before.dim_out} != {after.dim_in}"
-        )
-    ops = [a @ b for a in after.kraus for b in before.kraus]
-    tp = after.trace_preserving and before.trace_preserving
-    return channel_from_kraus(ops, trace_preserving=tp)
-
-
 def superop_from_kraus(ch: Channel) -> np.ndarray:
     """Superoperator Phi = sum_n K_n ⊗ K_n*, acting on row-major vectorized states."""
     return sum(kron(k, k.conj()) for k in ch.kraus)
@@ -126,9 +114,7 @@ def jamiolkowski(ch: Channel) -> np.ndarray:
     return reshuffle(superop_from_kraus(ch), d) / d
 
 
-def channel_from_jamiolkowski(
-    jam: np.ndarray, tol: float = DEFAULT_TOL, trace_preserving: bool = True
-) -> Channel:
+def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
     """Recover Kraus operators from a Jamiolkowski state by eigendecomposition.
 
     tol applies on the scale of J: eigenvalues of J below -tol signal a
@@ -146,7 +132,7 @@ def channel_from_jamiolkowski(
     if lam_min < -d * tol:
         raise ValidationError("cp", f"Choi eigenvalue {lam_min:.3e} certifies a non-CP map", -lam_min)
     ops = [f.reshape(d, d) for f in factors.T] or [np.zeros((d, d), dtype=complex)]
-    return channel_from_kraus(ops, trace_preserving=trace_preserving, tol=d * tol)
+    return channel_from_kraus(ops, tol=d * tol)
 
 
 @dataclass(frozen=True)
@@ -165,20 +151,6 @@ def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
     m = as_complex_matrix(mat)
     require(m, ("unit-diagonal", "hermitian", "psd"), tol, "Gram matrix")
     return GramMatrix(mat=readonly_copy(m))
-
-
-def dephase_state(rho: np.ndarray, c: GramMatrix) -> np.ndarray:
-    """Dephasing action rho ⊙ C: populations kept, coherences rescaled."""
-    rho = as_complex_matrix(rho)
-    if rho.shape != c.mat.shape:
-        raise DimensionError(f"state shape {rho.shape} != Gram shape {c.mat.shape}")
-    return rho * c.mat
-
-
-def max_dephase(rho: np.ndarray) -> np.ndarray:
-    """Project a state onto its diagonal (Schur product with the identity Gram)."""
-    rho = as_complex_matrix(rho)
-    return np.diag(np.diag(rho))
 
 
 def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
@@ -202,16 +174,6 @@ def classical_action(ch: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not ch.trace_preserving:
         require(ch.kraus, ("trace-preserving",), tol, "channel")
     return sum(np.abs(k) ** 2 for k in ch.kraus)
-
-
-def is_mio(ch: Channel, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the channel maps every basis state to a diagonal state (within tol)."""
-    d = ch.dim_in
-    for i in range(d):
-        out = apply_channel(ch, basis_matrix(i, i, d))
-        if max_abs(out - np.diag(np.diag(out))) > tol:
-            return False
-    return True
 
 
 def l1_coherence(rho: np.ndarray) -> float:

@@ -67,15 +67,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur/Hadamard) product of two equal-shape matrices."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch for Schur product: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def _split_square(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     da, db = dims
     if da < 1 or db < 1:
@@ -241,11 +232,6 @@ def psd_factors(m: np.ndarray) -> tuple[float, np.ndarray]:
     vals, vecs = np.linalg.eigh(hermitize(m))
     keep = vals > m.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
     return float(vals[0]), vecs[:, keep] * np.sqrt(vals[keep])
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
-    return violation(measure(as_complex_matrix(m), ("hermitian", "psd")), tol) is None
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,11 +32,25 @@ one contraction of the Kraus tensors, summed over the Kraus operators:
         D[(i,i,j,j),:] and the matched columns E[k,:,k,l,:,l]
 
 The fifth check, simulation-mismatch, is the largest |R| off the matched
-index tuples. When every encoder Kraus tensor vanishes exactly at k != m and
-every decoder Kraus tensor at i != p (the system-controlled form of a
-controlled-unitary realization), each such entry is a sum of products with
-an exact zero, so the check reads 0.0 without building anything. For any
-other triple that passes the first four, D, E and R are built as above.
+index tuples. It needs R only when the first two checks read a nonzero
+value. For a state tau, R is a Gram matrix, R = sum W ⊗ conj(W) over the
+composite Kraus operators
+
+    W[(i,p),(k,m)] = sum_g b[i,t,p,g] (a sqrt(tau))[k,g,m,r],
+
+so |R[x,y]| <= sqrt(R[x,x] R[y,y]) with x = (i,p,k,m). An unmatched x has
+k != m or i != p. At k != m, summing R[x,x] over i gives the encoder's
+reduced[(k,m),(k,m)] (the decoder is trace preserving); at i != p,
+summing R[x,x] over k at fixed m gives the decoder's images[m,(i,p),(i,p)].
+The terms of both sums are nonnegative, the two entries are ones the
+encoder-dephasing and decoder-dephasing checks read, and every R[y,y] is
+at most 1 + tol, so with v the larger of those two check values
+
+    simulation-mismatch <= sqrt((1 + tol) v).
+
+So v == 0.0 gives a mismatch of exactly 0.0 and nothing is built; that
+covers every system-controlled triple. For any other triple that passes the
+first four checks, D, E and R are built as above.
 """
 
 from __future__ import annotations
@@ -47,14 +61,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    GramMatrix,
-    channel_from_jamiolkowski,
-    channel_from_kraus,
-    gram_matrix,
-    jamiolkowski,
-)
+from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
 from .errors import DimensionError, NotDephasingRealizationError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -92,9 +99,6 @@ class SuperGram:
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
         return self.mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-    def c00(self) -> GramMatrix:
-        return GramMatrix(mat=self.block(0, 0))
 
 
 def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
@@ -227,11 +231,6 @@ def bipartite_channel(
     return BipartiteChannel(sys_in, mem_in, sys_out, mem_out, inner)
 
 
-def identity_bipartite(sys_dim: int, mem_dim: int) -> BipartiteChannel:
-    eye = np.eye(sys_dim * mem_dim, dtype=complex)
-    return bipartite_channel([eye], (sys_dim, mem_dim, sys_dim, mem_dim))
-
-
 def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChannel:
     """Unitary conjugation by sum_i |i><i| ⊗ U_i on system ⊗ d^2-dimensional memory."""
     d = family.d
@@ -345,13 +344,15 @@ class RealizationReport:
     Every quantity of those four checks is a contraction of the Kraus
     tensors. Only when they pass does ``checks`` hold a fifth,
     simulation-mismatch: the largest entry of the simulation tensor off the
-    matched index tuples, which must vanish for a genuine realization. It
-    reads exactly 0.0 for system-controlled Kraus tensors without building
-    the tensor, and is measured on the built tensor for any other triple. So
+    matched index tuples, which must vanish for a genuine realization. So
     ``passed`` means the triple realizes a dephasing superchannel at tol.
-    The other four do not imply it at the same tol: perturbing a genuine
-    decoder by exp(i eps H), they can grow as eps^2 while the mismatch grows
-    as eps (at eps = 1e-4, 5e-9 against 7e-5).
+    With v the larger of the encoder-dephasing and decoder-dephasing values,
+    the mismatch is at most sqrt((1 + tol) v) (argued in the module
+    docstring): it reads exactly 0.0 when v == 0.0, and is measured on the
+    built tensor otherwise. The bound is why the four checks do not imply
+    the fifth at the same tol: perturbing a genuine decoder by exp(i eps H),
+    v can grow as eps^2 while the mismatch grows as eps, with equality in
+    the bound (at eps = 1e-4, 5e-9 against 7e-5).
     """
 
     checks: tuple[ConditionCheck, ...]
@@ -369,17 +370,10 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _system_controlled(kraus: list[np.ndarray]) -> bool:
-    """True iff every Kraus tensor [sys_out, mem_out, sys_in, mem_in] is exactly zero off sys_out == sys_in."""
-    off = ~np.eye(kraus[0].shape[0], dtype=bool)
-    return not any(k.transpose(0, 2, 1, 3)[off].any() for k in kraus)
-
-
 def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float) -> RealizationReport:
     """The four realization checks from the Kraus tensors, and the
     simulation-mismatch check only when those four pass."""
     d, mem, mem_in, mem_out = enc.sys_in, enc.mem_out, enc.mem_in, dec.mem_out
-    enc_kraus, dec_kraus = enc.kraus_tensors(), dec.kraus_tensors()
 
     # Encoder: reduced[(k,m),(l,n)] = Tr_mem N_en(|m><n| ⊗ tau)[k, l]
     # must vanish off (k, l) == (m, n). Conditional memory states
@@ -388,7 +382,7 @@ def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: 
     reduced = np.zeros((d * d, d * d), dtype=complex)
     sigma = np.zeros((d, mem, mem), dtype=complex)
     enc_matched = np.zeros((d * mem, d * mem), dtype=complex)
-    for a in enc_kraus:
+    for a in enc.kraus_tensors():
         a_tau = a @ tau  # [k,g,m,b] = sum_a a[k,g,m,a] tau[a,b]
         lhs, rhs = (t.transpose(0, 2, 1, 3).reshape(d * d, mem * mem_in) for t in (a_tau, a))
         reduced += lhs @ rhs.conj().T  # sum over (g, b)
@@ -406,7 +400,7 @@ def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: 
     # dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
     images = np.zeros((d, d * d, d * d), dtype=complex)
     dec_matched = np.zeros((d * mem, d * mem), dtype=complex)
-    for b in dec_kraus:
+    for b in dec.kraus_tensors():
         rows = b.transpose(0, 2, 1, 3).reshape(d * d * mem_out, mem)  # [(i,p,t),g]
         rows_sigma = (rows @ sigma).reshape(d, d * d, mem_out * mem)  # [m,(i,p),(t,h)]
         images += rows_sigma @ rows.reshape(d * d, mem_out * mem).conj().T  # sum over (t, h)
@@ -464,9 +458,8 @@ def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: 
         ),
     )
     if all(c.passed for c in checks):
-        if _system_controlled(enc_kraus) and _system_controlled(dec_kraus):
-            # D vanishes exactly off i == p and E off k == m, so every
-            # mismatched entry of R is a sum of products with an exact zero.
+        if max(enc_violation, dec_violation) == 0.0:
+            # mismatch <= sqrt((1 + tol) v) with v == 0 (module docstring)
             mismatch = 0.0
         else:
             mismatch = _audit(_tensor(*_superoperators(enc, dec, tau)), d)[1]
@@ -496,9 +489,11 @@ def verify_dephasing_realization(
     Every condition quantified over states is checked on the operator basis
     |m><n|, which is exact by linearity; the images of all basis operators
     are contractions of the Kraus tensors. The simulation tensor is built
-    only for a triple that passes the other four checks and is not
-    system-controlled. Purely diagnostic: never raises on a failing
-    realization. Raises ValueError for a NaN or negative tol.
+    only for a triple that passes the other four checks with a nonzero
+    encoder-dephasing or decoder-dephasing value; at zero, the bound of
+    RealizationReport makes simulation-mismatch exactly 0.0. Purely
+    diagnostic: never raises on a failing realization. Raises ValueError for
+    a NaN or negative tol.
     """
     check_tol(tol)
     _check_simulation_dims(enc, dec, tau)
@@ -551,12 +546,3 @@ def circuit_oracle(
         for t in discard
     ]
     return channel_from_kraus(kraus)
-
-
-def marginal_grams(sg: SuperGram, tol: float = DEFAULT_TOL) -> tuple[GramMatrix, list[GramMatrix]]:
-    """Marginal dephasing actions: the shared diagonal block, and for each basis
-    level m the matrix of (m, m) entries of every block."""
-    d = sg.d
-    c_en = gram_matrix(sg.block(0, 0), tol=tol)
-    c_de = [gram_matrix(sg.mat[m::d, m::d], tol=tol) for m in range(d)]
-    return c_en, c_de

@@ -1,0 +1,87 @@
+"""Reference helpers that only the tests read.
+
+They live here, not in dephkit, because no engine path, CLI command or
+acceptance criterion uses them.
+"""
+
+import numpy as np
+
+from dephkit import (
+    BipartiteChannel,
+    Channel,
+    GramMatrix,
+    SuperGram,
+    affine_map,
+    apply_channel,
+    bipartite_channel,
+    channel_from_kraus,
+    gram_matrix,
+)
+from dephkit.bloch import AffineMap
+from dephkit.errors import DimensionError
+from dephkit.linalg import DEFAULT_TOL, as_complex_matrix, basis_matrix, max_abs, measure, violation
+
+
+def schur(a, b) -> np.ndarray:
+    """Entrywise (Schur/Hadamard) product of two equal-shape matrices."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch for Schur product: {a.shape} vs {b.shape}")
+    return a * b
+
+
+def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
+    return violation(measure(as_complex_matrix(m), ("hermitian", "psd")), tol) is None
+
+
+def compose(after: Channel, before: Channel) -> Channel:
+    """Channel composition after∘before via Kraus products."""
+    if before.dim_out != after.dim_in:
+        raise DimensionError(f"cannot compose: inner dims {before.dim_out} != {after.dim_in}")
+    ops = [a @ b for a in after.kraus for b in before.kraus]
+    return channel_from_kraus(ops, trace_preserving=after.trace_preserving and before.trace_preserving)
+
+
+def dephase_state(rho, c: GramMatrix) -> np.ndarray:
+    """Dephasing action rho ⊙ C: populations kept, coherences rescaled."""
+    rho = as_complex_matrix(rho)
+    if rho.shape != c.mat.shape:
+        raise DimensionError(f"state shape {rho.shape} != Gram shape {c.mat.shape}")
+    return rho * c.mat
+
+
+def max_dephase(rho) -> np.ndarray:
+    """Project a state onto its diagonal (Schur product with the identity Gram)."""
+    return np.diag(np.diag(as_complex_matrix(rho)))
+
+
+def is_mio(ch: Channel, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the channel maps every basis state to a diagonal state (within tol)."""
+    d = ch.dim_in
+    for i in range(d):
+        out = apply_channel(ch, basis_matrix(i, i, d))
+        if max_abs(out - np.diag(np.diag(out))) > tol:
+            return False
+    return True
+
+
+def project_to_xy(a: AffineMap) -> AffineMap:
+    """Compose the x-y plane projection after the map: kills the z row of (Lambda, t)."""
+    p = np.diag([1.0, 1.0, 0.0])
+    return affine_map(p @ a.lam, p @ a.t)
+
+
+def identity_bipartite(sys_dim: int, mem_dim: int) -> BipartiteChannel:
+    eye = np.eye(sys_dim * mem_dim, dtype=complex)
+    return bipartite_channel([eye], (sys_dim, mem_dim, sys_dim, mem_dim))
+
+
+def marginal_grams(sg: SuperGram, tol: float = DEFAULT_TOL) -> tuple[GramMatrix, list[GramMatrix]]:
+    """Marginal dephasing actions: the shared diagonal block, and for each basis
+    level m the matrix of (m, m) entries of every block."""
+    d = sg.d
+    c_en = gram_matrix(sg.block(0, 0), tol=tol)
+    c_de = [gram_matrix(sg.mat[m::d, m::d], tol=tol) for m in range(d)]
+    return c_en, c_de

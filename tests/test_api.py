@@ -1,0 +1,36 @@
+import types
+
+import dephkit
+
+# The public API, pinned: a name added to or removed from the package shows up
+# as a diff here, next to the CHANGES.md entry that says why.
+PUBLIC_NAMES = [
+    "AffineMap", "BipartiteChannel", "Channel", "ControlledUnitaryFamily", "DEFAULT_TOL",
+    "DecompositionError", "DephkitError", "DimensionError", "GramMatrix",
+    "NotDephasingRealizationError", "ProductDecomposition", "ProductTerm", "RealizationReport",
+    "SimulationConsistencyReport", "SuperGram", "ValidationError",
+    "affine_from_channel", "affine_from_jamiolkowski", "affine_map", "apply_channel",
+    "apply_super", "bipartite_channel", "channel_from_jamiolkowski", "channel_from_kraus",
+    "circuit_oracle", "classical_action", "coherence_generating_power",
+    "controlled_unitary_channel", "controlled_unitary_family", "decompose_product_qubit",
+    "density_matrix", "dephasing_channel", "family_gram", "family_ppt_closed_form",
+    "family_realization", "gram_action_on_affine", "gram_from_controlled_unitaries",
+    "gram_from_simulation", "gram_matrix", "identity_channel", "identity_super_gram",
+    "is_passive_compatible", "jamiolkowski", "jamiolkowski_from_affine", "kron",
+    "l1_coherence", "l1_distance", "max_entangled_state", "maximally_dephasing_channel",
+    "memory_activity_qubit", "min_eig_hermitian", "nearest_passive_qubit",
+    "nmr_experimental_gram", "partial_trace", "partial_transpose", "ppt_min_eig",
+    "random_channel", "random_controlled_family", "random_density_matrix", "random_super_gram",
+    "reshuffle", "superop_from_kraus", "unitary_channel", "validate_super_gram",
+    "verify_dephasing_realization", "verify_simulation_consistency", "xy_plane_projection",
+]
+
+
+def test_public_api_is_pinned():
+    # Submodules are left out: which of them are attributes depends on what was imported.
+    public = sorted(
+        name
+        for name, value in vars(dephkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES

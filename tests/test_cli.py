@@ -31,6 +31,7 @@ from dephkit.io import (
 )
 from dephkit.linalg import basis_vector, max_abs
 from dephkit.superchannels import bipartite_channel, controlled_unitary_channel
+from reference import identity_bipartite
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -251,8 +252,6 @@ def test_verify_realization_identity(capsys, tmp_path):
     enc = tmp_path / "enc.json"
     tau = tmp_path / "tau.json"
     out = tmp_path / "gram.json"
-    from dephkit.superchannels import identity_bipartite
-
     write_bipartite(enc, identity_bipartite(2, 2))
     write_matrix(tau, np.eye(2) / 2)
     code, _ = run(capsys, "verify-realization", enc, enc, tau, "--out", out)

@@ -7,16 +7,15 @@ from conftest import CMAX, random_psd
 from dephkit import (
     DimensionError,
     ValidationError,
-    is_psd,
     kron,
     min_eig_hermitian,
     partial_trace,
     partial_transpose,
     reshuffle,
-    schur,
 )
 from dephkit.linalg import basis_matrix, basis_vector, max_abs, psd_factors
 from dephkit.memory import family_gram
+from reference import is_psd, schur
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CMAX, audit_only_triple, permutation
 from dephkit import (
@@ -14,11 +16,9 @@ from dephkit import (
     controlled_unitary_family,
     gram_from_controlled_unitaries,
     gram_from_simulation,
-    identity_bipartite,
     identity_channel,
     identity_super_gram,
     jamiolkowski,
-    marginal_grams,
     maximally_dephasing_channel,
     random_channel,
     random_controlled_family,
@@ -28,10 +28,11 @@ from dephkit import (
     verify_dephasing_realization,
     verify_simulation_consistency,
 )
-from dephkit.linalg import basis_matrix, basis_vector, is_psd, kron, max_abs, partial_trace
+from dephkit.linalg import basis_matrix, basis_vector, kron, max_abs, partial_trace, random_unitary
 from dephkit import superchannels
 from dephkit.superchannels import simulation_tensor
 from dephkit.memory import nmr_experimental_gram
+from reference import identity_bipartite, is_psd, marginal_grams
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -684,6 +685,8 @@ def test_checks_grow_as_eps_squared_and_the_mismatch_as_eps(eps):
     assert max(c.max_violation for c in checks) == pytest.approx(eps**2 / 2, rel=1e-3)
     assert mismatch.name == "simulation-mismatch"
     assert mismatch.max_violation == pytest.approx(eps / np.sqrt(2), rel=1e-3)
+    v = max(checks[0].max_violation, checks[1].max_violation)
+    assert mismatch.max_violation == pytest.approx(np.sqrt(v), rel=1e-9)  # the bound is tight
 
 
 @pytest.mark.parametrize("kind", BROKEN_KINDS)
@@ -700,34 +703,57 @@ def test_reject_never_builds_the_simulation_tensor(kind, d, monkeypatch):
         gram_from_simulation(enc, dec, tau)
 
 
-@pytest.mark.parametrize("kind", CONTROLLED_KINDS + ("identity",))
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_controlled_accept_builds_no_superoperator(kind, d, monkeypatch):
-    # System-controlled Kraus tensors vanish exactly off the matched indices,
-    # so the mismatch reads 0.0 without D, E or the simulation tensor.
+@pytest.mark.parametrize(
+    "d,kind",
+    [(d, kind) for kind in CONTROLLED_KINDS + ("identity",) for d in (2, 3, 4)]
+    + [(2, "fourier-on-an-empty-level"), (3, "fourier-on-an-empty-level")],
+)
+def test_controlled_accept_builds_no_superoperator(d, kind, monkeypatch):
+    # The encoder-dephasing and decoder-dephasing values read exactly 0.0, so
+    # the mismatch bound sqrt((1 + tol) v) is 0.0 without D, E or the
+    # simulation tensor: every system-controlled triple, and the Fourier one.
     def refuse(*_):
-        raise AssertionError("superoperator built for a system-controlled triple")
+        raise AssertionError("superoperator built for a triple with zero leakage")
 
     monkeypatch.setattr(superchannels, "_superoperators", refuse)
     monkeypatch.setattr(superchannels, "_tensor", refuse)
     enc, dec, tau = realization_triple(kind, d)
     report = verify_dephasing_realization(enc, dec, tau)
     assert report.passed
+    assert report.checks[0].max_violation == report.checks[1].max_violation == 0.0
     assert report.checks[-1].name == "simulation-mismatch"
     assert report.checks[-1].max_violation == 0.0
     gram_from_simulation(enc, dec, tau)
 
 
+def memory_rotated_fourier(d, seed=0):
+    """The Fourier triple with its middle memory conjugated by a Haar-random unitary.
+
+    It realizes the same superchannel, but its leakage is zero only up to
+    rounding: v reads about 5e-18, so the engine must build the tensor.
+    """
+    enc, dec, tau = realization_triple("fourier-on-an-empty-level", d)
+    u = kron(np.eye(d), random_unitary(enc.mem_out, np.random.default_rng(seed)))
+    dims = (d, enc.mem_out, d, enc.mem_out)
+    return (
+        bipartite_channel([u @ k for k in enc.inner.kraus], dims),
+        bipartite_channel([k @ u.conj().T for k in dec.inner.kraus], dims),
+        tau,
+    )
+
+
 @pytest.mark.parametrize(
     "make,passed",
     [
-        (lambda: realization_triple("fourier-on-an-empty-level", 2), True),
-        (lambda: realization_triple("fourier-on-an-empty-level", 3), True),
+        (lambda: memory_rotated_fourier(2), True),
+        (lambda: memory_rotated_fourier(3), True),
         (lambda: audit_only_triple(3e-5), False),
     ],
-    ids=["fourier-d2", "fourier-d3", "audit-only"],
+    ids=["rotated-fourier-d2", "rotated-fourier-d3", "audit-only"],
 )
 def test_triple_that_is_not_system_controlled_builds_the_tensor(make, passed, monkeypatch):
+    # Kraus tensors that do not vanish off the matched indices leave v above
+    # 0.0, if only at rounding level, so the engine builds R and reports it.
     built, tensor = [], superchannels._tensor
 
     def spy(*operators):
@@ -738,11 +764,33 @@ def test_triple_that_is_not_system_controlled_builds_the_tensor(make, passed, mo
     enc, dec, tau = make()
     report = verify_dephasing_realization(enc, dec, tau)
     assert built == [True]
+    assert max(report.checks[0].max_violation, report.checks[1].max_violation) > 0.0
     assert report.passed == passed
     mismatch = report.checks[-1]
     assert mismatch.name == "simulation-mismatch"
     assert mismatch.max_violation == verify_simulation_consistency(enc, dec, tau).max_mismatch
-    assert (mismatch.max_violation == 0.0) == passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    st.integers(1, 2),
+)
+def test_mismatch_obeys_the_leakage_bound(seed, d, mems, rank):
+    # mismatch <= sqrt((1 + tol) v), v the larger encoder/decoder leakage;
+    # 1e-9 is the trace-preservation tol the channels are built to.
+    rng = np.random.default_rng(seed)
+    mem_in, mem, mem_out = mems
+    # enough Kraus operators for an isometry when the memory shrinks
+    enc = random_bipartite((d, mem_in, d, mem), max(rank, -(-mem_in // mem)), rng)
+    dec = random_bipartite((d, mem, d, mem_out), max(rank, -(-mem // mem_out)), rng)
+    tau = random_density_matrix(mem_in, seed)
+    enc_check, dec_check, *_, mismatch = verify_dephasing_realization(enc, dec, tau, tol=np.inf).checks
+    assert mismatch.name == "simulation-mismatch"
+    v = max(enc_check.max_violation, dec_check.max_violation)
+    assert mismatch.max_violation <= np.sqrt((1 + 1e-9) * v)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
