@@ -6,14 +6,17 @@ to carry a constant diagonal. For qubit superchannels the set realizable
 with passive memory is exactly the set of mixtures of product Gram matrices,
 and the l1 distance to it has the closed form implemented here, together
 with an explicit nearest passive matrix and an exact product decomposition
-(at most 9 terms, found by column generation run as a warm-started
-Lawson-Hanson nonnegative least squares) that certifies membership. A
-one-parameter qutrit family with its controlled-unitary realization and a
-bundled experimental qubit matrix round out the module.
+that certifies membership: at most 8 terms, read off in closed form from one
+factorization of the matrix and the eigenbasis of a unitary, with column
+generation run as a warm-started Lawson-Hanson nonnegative least squares as
+the repair path when that misses the tolerance. A one-parameter qutrit family
+with its controlled-unitary realization and a bundled experimental qubit
+matrix round out the module.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,10 +30,12 @@ from .linalg import (
     as_complex_matrix,
     basis_vector,
     check_tol,
+    hermitize,
     kron,
     max_abs,
     min_eig_hermitian,
     partial_transpose,
+    psd_factors,
     require,
 )
 from .superchannels import ControlledUnitaryFamily, SuperGram, controlled_unitary_family, validate_super_gram
@@ -151,7 +156,8 @@ _EXPONENTS = np.array([(a - b, c - d) for a, c, b, d in np.ndindex(2, 2, 2, 2)])
 _EXPONENT_SUMS = np.array([[float(3 * (p + 1) + (q + 1) == row) for p, q in _EXPONENTS.tolist()] for row in range(9)])
 
 
-def _product_column(theta: float, phi: float) -> np.ndarray:
+def _product_column(theta, phi) -> np.ndarray:
+    """Real and imaginary parts of C(theta) ⊗ C(phi), raveled; for arrays of angles, one column per atom."""
     m = np.exp(1j * (_EXPONENTS @ (theta, phi)))
     return np.concatenate([m.real, m.imag])
 
@@ -232,6 +238,49 @@ def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
     return theta % math.tau, -math.atan2(jet_b[0].imag, jet_b[0].real) % math.tau, f
 
 
+def _closed_form_atoms(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At most 8 product atoms (theta, phi) and their positive weights for a passive qubit Gram matrix.
+
+    With T = F F† (``psd_factors``) split into the rows F0, F1 of the first
+    factor's levels, F0 F0† = T00 = T11 = F1 F1†, so F1 = F0 X for a unitary X,
+    found by Procrustes. Its eigenvectors v_j come from ``eigh`` of the Cayley
+    transform of X, rotated so that the middle of the widest gap between its
+    eigenvalue angles sits at -1; they are orthonormal even where eigenvalues
+    coincide, which ``eig``'s are not. With g = F0 v_j and theta_j the angle
+    of v_j† X v_j, T = sum_j C(theta_j) ⊗ g g†, and since T's blocks have
+    constant diagonals, g g† may be replaced by s [[1, conj(n)], [n, 1]], its
+    diagonal-averaged form, which is s (C(a + h) + C(a - h)) / 2 with
+    a = arg(g1 conj(g0)), cos h = |n|. The split runs on the factor whose
+    partner marginal (T[0, 1] or T[0, 2]) is further from rank 1.
+    """
+    swap = abs(target[0, 1]) > abs(target[0, 2])
+    if swap:
+        target = target.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    f = psd_factors(target)[1]
+    u, _, vh = np.linalg.svd(f[:2].conj().T @ f[2:])
+    x = u @ vh
+    angles = np.sort(np.angle(np.linalg.eigvals(x)))
+    gaps = np.diff(angles, append=angles[0] + math.tau)
+    widest = int(np.argmax(gaps))
+    y = x * np.exp(1j * (math.pi - angles[widest] - gaps[widest] / 2))
+    eye = np.eye(len(y))
+    vecs = np.linalg.eigh(hermitize(1j * np.linalg.solve(eye + y, eye - y)))[1]
+    thetas = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), x, vecs))
+    atoms, weights = [], []
+    for theta, (g0, g1) in zip(thetas.tolist(), (f[:2] @ vecs).T.tolist()):
+        m0, m1 = abs(g0), abs(g1)
+        s = (m0 * m0 + m1 * m1) / 2
+        if s == 0:
+            continue
+        alpha = cmath.phase(g1 * g0.conjugate())
+        h = math.atan2(abs(m0 * m0 - m1 * m1), 2 * m0 * m1)
+        halves = [(theta, alpha)] if math.cos(h) == 1.0 else [(theta, alpha + h), (theta, alpha - h)]
+        atoms += halves
+        weights += [s / len(halves)] * len(halves)
+    atoms = np.array(atoms).reshape(-1, 2) % math.tau
+    return (atoms[:, ::-1] if swap else atoms), np.array(weights)
+
+
 def _stalled(residual: float, tol: float) -> DecompositionError:
     return DecompositionError(
         f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}: no product atom improves the fit",
@@ -242,22 +291,25 @@ def _stalled(residual: float, tol: float) -> DecompositionError:
 def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductDecomposition:
     """Decompose a passive-compatible qubit Gram matrix into product terms.
 
-    Column generation run as a warm-started Lawson-Hanson NNLS (Lawson and
-    Hanson, *Solving Least Squares Problems*, 1974, ch. 23). The atoms are
-    products C(theta) ⊗ C(phi) of equatorial 2x2 Gram matrices. Each round
-    prices the atom that best matches the residual exactly (see
-    ``_best_atom``): its score is the negative gradient of the squared fit
-    error along that atom, so it is Lawson-Hanson's entering column. It joins
-    the atoms of positive weight with weight 0, and the inner loop refits: a
-    least-squares solve on those atoms is accepted when every weight is
-    positive; otherwise the weights step towards it up to the first zero
-    crossing and the atoms that reach zero leave. This repeats until the
-    entrywise residual is at most ``tol``. The result has at most 9 terms, the
-    Carathéodory bound for the 9-dimensional span of the atoms. Raises
-    DecompositionError with the residual when no atom improves the fit or the
-    entering atom's own least-squares weight is not positive (the matrix is not
-    a product mixture within ``tol``), or after ``_MAX_ROUNDS`` atoms, and
-    ValueError for a NaN or negative ``tol``.
+    The atoms are products C(theta) ⊗ C(phi) of equatorial 2x2 Gram matrices.
+    The closed form of ``_closed_form_atoms`` gives at most 8 of them with
+    positive weights, two per column of a PSD factor of the matrix; on a
+    product mixture its entrywise residual is rounding. Only when that residual
+    still exceeds ``tol`` (the matrix is not a product mixture within ``tol``,
+    for instance not PSD) does column generation run from those atoms, as a
+    warm-started Lawson-Hanson NNLS (Lawson and Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23). Each round prices the atom that best matches the
+    residual exactly (see ``_best_atom``): its score is the negative gradient
+    of the squared fit error along that atom, so it is Lawson-Hanson's entering
+    column. It joins the atoms of positive weight with weight 0, and the inner
+    loop refits: a least-squares solve on those atoms is accepted when every
+    weight is positive; otherwise the weights step towards it up to the first
+    zero crossing and the atoms that reach zero leave. This repeats until the
+    residual is at most ``tol``. Raises DecompositionError with the residual
+    when no atom improves the fit or the entering atom's own least-squares
+    weight is not positive (the matrix is not a product mixture within
+    ``tol``), or after ``_MAX_ROUNDS`` atoms, and ValueError for a NaN or
+    negative ``tol``.
     """
     check_tol(tol)
     if sg.d != 2:
@@ -274,10 +326,10 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     b = np.concatenate([target.real.ravel(), target.imag.ravel()])
     no_gain = _NO_GAIN_RTOL * 4 * np.linalg.norm(b)
     # The passive set: the atoms of positive weight, their columns and weights.
-    atoms = np.empty((0, 2))
-    columns = np.empty((32, 0))
-    weights = np.empty(0)
-    rest = target
+    atoms, weights = _closed_form_atoms(target) if max_abs(target) > tol else (np.empty((0, 2)), np.empty(0))
+    columns = _product_column(*atoms.T)
+    fit = columns @ weights
+    rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
     rounds = 0
     while (residual := max_abs(rest)) > tol:
         if rounds == _MAX_ROUNDS:

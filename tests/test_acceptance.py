@@ -250,7 +250,7 @@ def test_criterion_09_product_decomposition_roundtrip():
         for _ in range(50):
             sg = _random_passive_mixture(rng)
             dec = decompose_product_qubit(sg, tol=1e-10)
-            assert len(dec.terms) <= 9
+            assert len(dec.terms) <= 8
             assert max_abs(dec.reconstruct() - sg.mat) <= 1e-10
             assert abs(dec.total_weight() - 1) <= 1e-10
 

@@ -398,8 +398,20 @@ def test_memory_decompose(capsys, tmp_path):
         c1m = np.array([complex(a, b) for a, b in term["c1"]["data"]]).reshape(2, 2)
         c2m = np.array([complex(a, b) for a, b in term["c2"]["data"]]).reshape(2, 2)
         recon += term["weight"] * np.kron(c1m, c2m)
-    assert len(obj["terms"]) <= 9
+    assert len(obj["terms"]) <= 8
     assert max_abs(recon - kron(c1, c2)) <= 1e-12
+
+
+def test_memory_decompose_certifies_a_boundary_mixture(capsys, tmp_path):
+    # (C(0) ⊗ C(0) + C(1) ⊗ C(2)) / 2 mixes two extreme points of the passive set.
+    def circle(a):
+        return np.array([[1, np.exp(-1j * a)], [np.exp(1j * a), 1]])
+
+    path = tmp_path / "boundary.json"
+    write_matrix(path, (kron(circle(0), circle(0)) + kron(circle(1), circle(2))) / 2)
+    code, report = run_json(capsys, "memory-decompose", path, "--tol", "1e-12")
+    assert code == 0
+    assert next(d for d in report["details"] if d["check"] == "term count")["value"] == 2
 
 
 def test_memory_decompose_rejects_active(capsys, cmax_file):

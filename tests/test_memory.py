@@ -186,8 +186,8 @@ def test_decompose_all_ones():
     assert max_abs(dec.terms[0].c2.mat - np.ones((2, 2))) < 1e-12
 
 
-def _assert_certificate(sg, dec, tol):
-    assert len(dec.terms) <= 9  # Carathéodory bound
+def _assert_certificate(sg, dec, tol, max_terms=8):
+    assert len(dec.terms) <= max_terms  # two per column of the closed form's factor
     assert max_abs(dec.reconstruct() - sg.mat) <= tol
     assert dec.residual <= tol
     assert abs(dec.total_weight() - 1.0) <= tol
@@ -215,14 +215,30 @@ def test_decompose_nearest_passive_nmr():
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
 
 
+def _refuse_pricing(rest):
+    raise AssertionError(f"priced an atom at residual {max_abs(rest):.3e}")
+
+
+@pytest.fixture
+def no_pricing(monkeypatch):
+    """Fail any certificate that reaches the pricing loop: the closed form alone must reach tol."""
+    monkeypatch.setattr(memory, "_best_atom", _refuse_pricing)
+
+
+@pytest.fixture
+def no_closed_form(monkeypatch):
+    """Start the pricing loop from an empty passive set, so that a test reaches the loop itself."""
+    monkeypatch.setattr(memory, "_closed_form_atoms", lambda target: (np.empty((0, 2)), np.empty(0)))
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("seed", range(100))
-def test_decompose_nearest_passive_sweep(seed, tol):
+def test_decompose_nearest_passive_sweep(seed, tol, no_pricing):
     sg = nearest_passive_qubit(random_super_gram(2, seed))
     _assert_certificate(sg, decompose_product_qubit(sg, tol=tol), tol)
 
 
-def test_decompose_sweep_takes_drop_steps(monkeypatch):
+def test_decompose_sweep_takes_drop_steps(monkeypatch, no_closed_form):
     # A least-squares solve beyond one per priced atom is a Lawson-Hanson
     # drop step: some of the sweep's targets must take one.
     counts = {"priced": 0, "solves": 0}
@@ -244,7 +260,7 @@ def test_decompose_sweep_takes_drop_steps(monkeypatch):
     assert dropped > 0
 
 
-def test_decompose_stalls_when_the_entering_atom_cannot_enter(monkeypatch):
+def test_decompose_stalls_when_the_entering_atom_cannot_enter(monkeypatch, no_closed_form):
     # An oracle that prices C(pi) ⊗ C(0) second, against the all-ones target
     # fitted by 1/2 C(pi/2) ⊗ C(0): that atom lowers the fit error only with a
     # negative weight (-1/3), so the search must stop rather than loop, at the
@@ -254,6 +270,93 @@ def test_decompose_stalls_when_the_entering_atom_cannot_enter(monkeypatch):
     with pytest.raises(DecompositionError, match="stalled") as err:
         decompose_product_qubit(validate_super_gram(np.ones((4, 4)), 2))
     assert err.value.residual == pytest.approx(math.sqrt(1.25), abs=1e-15)
+
+
+def circle_mixture(weights, thetas, phis):
+    """sum_k w_k C(theta_k) ⊗ C(phi_k): a mixture of extreme points of the passive set."""
+    weights = np.asarray(weights, dtype=float)
+    mat = np.einsum("k,kab,kcd->acbd", weights / weights.sum(), _circle_gram(thetas), _circle_gram(phis))
+    return validate_super_gram(mat.reshape(4, 4), 2)
+
+
+@pytest.mark.parametrize(
+    "weights,thetas,phis,nterms",
+    [
+        ([1, 1], [0, 1], [0, 2], 2),
+        ([1, 1], [0, np.pi / 2], [0, np.pi / 3], 2),
+        ([1, 1, 1], [0, 1, 2], [0, 2, 1], 3),
+        ([1, 1], [0.3, 2.0], [1.1, 4.0], 2),
+    ],
+)
+def test_decompose_boundary_mixtures_are_their_own_certificates(weights, thetas, phis, nterms, no_pricing):
+    # Mixtures of unit-modulus products lie on the boundary of the passive set,
+    # where pricing alone stalls near 3e-7; the closed form splits them back
+    # into their own atoms.
+    sg = circle_mixture(weights, thetas, phis)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+    assert len(dec.terms) == nterms
+
+
+# None draws independent angles; a number spreads them that far around one angle.
+SPREADS = st.sampled_from([None, 0.0] + [10.0**-k for k in range(3, 14)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), SPREADS, SPREADS)
+def test_decompose_circle_mixtures(nterms, seed, theta_spread, phi_spread):
+    rng = np.random.default_rng(seed)
+
+    def angles(spread):
+        if spread is None:
+            return 2 * np.pi * rng.random(nterms)
+        return 2 * np.pi * rng.random() + spread * rng.standard_normal(nterms)
+
+    sg = circle_mixture(rng.random(nterms) + 0.05, angles(theta_spread), angles(phi_spread))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memory, "_best_atom", _refuse_pricing)
+        dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-12])
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_same_theta_mixtures(seed, spread, no_pricing):
+    # X has one eigenvalue of multiplicity up to 4: eig's eigenvectors for it
+    # are not orthogonal, eigh's of the Cayley transform are.
+    rng = np.random.default_rng(seed + 6000)
+    n = 3 + seed % 4
+    sg = circle_mixture(rng.random(n) + 0.05, 1.0 + spread * rng.standard_normal(n), 2 * np.pi * rng.random(n))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-12), 1e-12)
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_same_phi_mixtures(seed, spread, no_pricing):
+    # The first factor's partner marginal is then nearly rank 1, so the split
+    # must run on the second factor to keep the fit within 1e-12.
+    rng = np.random.default_rng(seed + 6100)
+    n = 3 + seed % 4
+    sg = circle_mixture(rng.random(n) + 0.05, 2 * np.pi * rng.random(n), 2.0 + spread * rng.standard_normal(n))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-12), 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_repairs_a_partial_closed_form(monkeypatch, seed):
+    # With the first 1-3 closed-form atoms missing, the pricing loop runs from
+    # the rest and must still reach tol with positive weights.
+    closed_form, best_atom = memory._closed_form_atoms, memory._best_atom
+    priced = []
+
+    def counted(rest):
+        priced.append(rest)
+        return best_atom(rest)
+
+    monkeypatch.setattr(memory, "_closed_form_atoms", lambda target: tuple(x[seed % 3 + 1 :] for x in closed_form(target)))
+    monkeypatch.setattr(memory, "_best_atom", counted)
+    sg = nearest_passive_qubit(random_super_gram(2, seed + 800))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10, max_terms=9)
+    assert priced
 
 
 def test_decompose_within_an_infinite_tol_has_no_terms():
