@@ -6,18 +6,20 @@ to carry a constant diagonal. For qubit superchannels the set realizable
 with passive memory is exactly the set of mixtures of product Gram matrices,
 and the l1 distance to it has the closed form implemented here, together
 with an explicit nearest passive matrix and an exact product decomposition
-that certifies membership: at most 8 terms, read off in closed form from one
-factorization of the matrix and the eigenbasis of a unitary, with column
-generation run as a warm-started Lawson-Hanson nonnegative least squares as
-the repair path when that misses the tolerance. A one-parameter qutrit family
-with its controlled-unitary realization and a bundled experimental qubit
-matrix round out the module.
+that certifies membership: at most 8 terms, read off in closed form. A
+full-rank matrix is certified by a dilation of a 2x2 contraction into two
+unitaries, in scalar arithmetic; a rank-deficient one, or one whose dilation
+misses the tolerance, by one factorization of the matrix and the eigenbasis
+of a unitary. Column generation, run as a warm-started Lawson-Hanson
+nonnegative least squares, is the repair path when both miss the tolerance.
+A one-parameter qutrit family with its controlled-unitary realization and a
+bundled experimental qubit matrix round out the module.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,25 +240,133 @@ def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
     return theta % math.tau, -math.atan2(jet_b[0].imag, jet_b[0].real) % math.tau, f
 
 
-def _closed_form_atoms(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """At most 8 product atoms (theta, phi) and their positive weights for a passive qubit Gram matrix.
+# The rank rule of ``psd_factors`` on the 4x4 target T: an eigenvalue counts when it
+# exceeds 4 eps λ_max(T), and λ_max(T) <= tr T = 4.
+_FULL_RANK = 16 * float(np.finfo(float).eps)
+
+
+def _apply(m: tuple, v: tuple) -> tuple[complex, complex]:
+    """m v for a 2x2 matrix m held as a row-major 4-tuple of scalars."""
+    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """x y for 2x2 matrices held as row-major 4-tuples of scalars."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _bloch_eigenbasis(hz: float, hxy: complex) -> tuple[tuple, tuple]:
+    """Orthonormal eigenvectors of c I + h·σ with h = (Re hxy, Im hxy, hz), that of c + |h| first.
+
+    It is (|h| + h_z, h_x + i h_y) or, for h_z < 0, (h_x - i h_y, |h| - h_z),
+    normalized; neither cancels. The second is its orthogonal complement, so
+    the pair is orthonormal to rounding even where the eigenvalues coincide;
+    h = 0 gives the standard basis.
+    """
+    r = math.hypot(hz, hxy.real, hxy.imag)
+    if r == 0:
+        return (1.0, 0.0), (0.0, 1.0)
+    norm = math.sqrt(2 * r * (r + abs(hz)))
+    v = ((r + hz) / norm, hxy / norm) if hz >= 0 else (hxy.conjugate() / norm, (r - hz) / norm)
+    return v, (-v[1].conjugate(), v[0].conjugate())
+
+
+def _unitary_eigenpairs(u: tuple) -> list[tuple[complex, tuple]]:
+    """Eigenvalues and orthonormal eigenvectors of a 2x2 unitary u held as a row-major 4-tuple.
+
+    In SU(2) form u = e^{iγ} (cos ω I + i sin ω n·σ) with e^{2iγ} = det u. For
+    V = e^{-iγ} u, H = (V - V†) / 2i = sin ω n·σ is Hermitian by construction
+    and has u's eigenvectors, which ``_bloch_eigenbasis`` keeps orthonormal at
+    a repeated eigenvalue. Each eigenvalue is read back as v† u v.
+    """
+    det = u[0] * u[3] - u[1] * u[2]
+    half = -math.atan2(det.imag, det.real) / 2
+    phase = complex(math.cos(half), math.sin(half))
+    v00, v01, v10, v11 = (phase * x for x in u)
+    pairs = []
+    for x in _bloch_eigenbasis((v00.imag - v11.imag) / 2, (v10 - v01.conjugate()) / 2j):
+        ux = _apply(u, x)
+        pairs.append((x[0].conjugate() * ux[0] + x[1].conjugate() * ux[1], x))
+    return pairs
+
+
+def _dilation_terms(t: list) -> list[tuple[float, complex, complex, float]] | None:
+    """(theta, g, share) terms of T = sum share C(theta) ⊗ g g† for a full-rank passive T, else None.
+
+    T = sum_j C(theta_j) ⊗ P_j with P_j ⪰ 0 means sum P_j = A = T[:2, :2] and
+    sum e^{-i theta_j} P_j = B = T[:2, 2:]. By Haynsworth, rank T = rank A +
+    rank S with S = A - B† A^{-1} B, so T is full rank when the smaller
+    eigenvalues of A = [[1, conj(a)], [a, 1]] (1 - |a|) and of S both clear the
+    rank rule (_FULL_RANK). Then K = A^{-1/2} B A^{-1/2} is a strict
+    contraction: with its SVD K = sum_k cos(t_k) u_k w_k†, K = (U+ + U-) / 2
+    for the unitaries U± = sum_k e^{±i t_k} u_k w_k† (one unitary when every
+    cos(t_k) rounds to 1), and each eigenpair (e^{-i theta}, v) of each
+    unitary gives g = A^{1/2} v with share 1/(number of unitaries). Every
+    step is scalar arithmetic on 2x2 matrices: A^{1/2} = (A + s I) /
+    sqrt(2 + 2s) with s = sqrt(det A), A^{-1/2} = adj(A^{1/2}) / s, K's right
+    singular vectors from the Bloch vector of K†K, and each unitary's
+    eigenvectors from its SU(2) form (``_unitary_eigenpairs``).
+    """
+    a = t[1][0]
+    gap = 1 - abs(a)
+    if not gap > _FULL_RANK:
+        return None
+    det = gap * (2 - gap)
+    b = (t[0][2], t[0][3], t[1][2], t[1][3])
+    bd = (b[0].conjugate(), b[2].conjugate(), b[1].conjugate(), b[3].conjugate())
+    schur = _product(bd, _product((1 / det, -a.conjugate() / det, -a / det, 1 / det), b))
+    s00, s11, s10 = 1 - schur[0].real, 1 - schur[3].real, a - schur[2]
+    if not (s00 + s11) / 2 - math.hypot((s00 - s11) / 2, abs(s10)) > _FULL_RANK:
+        return None
+
+    s = math.sqrt(det)
+    c = math.sqrt(2 + 2 * s)
+    root = ((1 + s) / c, a.conjugate() / c, a / c, (1 + s) / c)
+    inv_root = (root[3] / s, -root[1] / s, -root[2] / s, root[0] / s)
+    k = _product(inv_root, _product(b, inv_root))
+    w1, w2 = _bloch_eigenbasis(
+        (abs(k[0]) ** 2 + abs(k[2]) ** 2 - abs(k[1]) ** 2 - abs(k[3]) ** 2) / 2,
+        k[1].conjugate() * k[0] + k[3].conjugate() * k[2],
+    )
+    kw1 = _apply(k, w1)
+    sigma1 = math.hypot(abs(kw1[0]), abs(kw1[1]))
+    u1 = (kw1[0] / sigma1, kw1[1] / sigma1) if sigma1 > 0 else w1
+    u2 = (-u1[1].conjugate(), u1[0].conjugate())
+    kw2 = _apply(k, w2)
+    z = u2[0].conjugate() * kw2[0] + u2[1].conjugate() * kw2[1]
+    sigma2 = abs(z)
+    if sigma2 > 0:
+        u2 = (u2[0] * z / sigma2, u2[1] * z / sigma2)
+    angles = [math.acos(min(sigma1, 1.0)), math.acos(min(sigma2, 1.0))]
+    signs = (1,) if all(math.cos(x) == 1.0 for x in angles) else (1, -1)
+    terms = []
+    for sign in signs:
+        e1, e2 = (complex(math.cos(x), sign * math.sin(x)) for x in angles)
+        unitary = tuple(
+            e1 * u1[i] * w1[j].conjugate() + e2 * u2[i] * w2[j].conjugate() for i in (0, 1) for j in (0, 1)
+        )
+        for value, v in _unitary_eigenpairs(unitary):
+            terms.append((-math.atan2(value.imag, value.real), *_apply(root, v), 1 / len(signs)))
+    return terms
+
+
+def _factored_terms(t: list) -> list[tuple[float, complex, complex, float]]:
+    """(theta, g, share 1) terms of T = sum C(theta) ⊗ g g† from a PSD factor of T.
 
     With T = F F† (``psd_factors``) split into the rows F0, F1 of the first
     factor's levels, F0 F0† = T00 = T11 = F1 F1†, so F1 = F0 X for a unitary X,
     found by Procrustes. Its eigenvectors v_j come from ``eigh`` of the Cayley
     transform of X, rotated so that the middle of the widest gap between its
     eigenvalue angles sits at -1; they are orthonormal even where eigenvalues
-    coincide, which ``eig``'s are not. With g = F0 v_j and theta_j the angle
-    of v_j† X v_j, T = sum_j C(theta_j) ⊗ g g†, and since T's blocks have
-    constant diagonals, g g† may be replaced by s [[1, conj(n)], [n, 1]], its
-    diagonal-averaged form, which is s (C(a + h) + C(a - h)) / 2 with
-    a = arg(g1 conj(g0)), cos h = |n|. The split runs on the factor whose
-    partner marginal (T[0, 1] or T[0, 2]) is further from rank 1.
+    coincide, which ``eig``'s are not. Each gives g = F0 v_j, and theta_j is
+    the angle of v_j† X v_j.
     """
-    swap = abs(target[0, 1]) > abs(target[0, 2])
-    if swap:
-        target = target.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    f = psd_factors(target)[1]
+    f = psd_factors(np.array(t))[1]
     u, _, vh = np.linalg.svd(f[:2].conj().T @ f[2:])
     x = u @ vh
     angles = np.sort(np.angle(np.linalg.eigvals(x)))
@@ -266,19 +376,43 @@ def _closed_form_atoms(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eye = np.eye(len(y))
     vecs = np.linalg.eigh(hermitize(1j * np.linalg.solve(eye + y, eye - y)))[1]
     thetas = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), x, vecs))
-    atoms, weights = [], []
-    for theta, (g0, g1) in zip(thetas.tolist(), (f[:2] @ vecs).T.tolist()):
-        m0, m1 = abs(g0), abs(g1)
-        s = (m0 * m0 + m1 * m1) / 2
-        if s == 0:
+    return [(theta, g0, g1, 1.0) for theta, (g0, g1) in zip(thetas.tolist(), (f[:2] @ vecs).T.tolist())]
+
+
+def _closed_form_atoms(target: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Candidate product atoms (theta, phi) with positive weights for a passive qubit Gram matrix, best first.
+
+    Yields at most two candidates of at most 8 atoms each: the dilation
+    (``_dilation_terms``) when T is full rank, then the factored form
+    (``_factored_terms``), which the caller reaches only when the first misses
+    its tolerance. Each gives terms T = sum share C(theta) ⊗ g g†. Since T's
+    blocks have constant diagonals, g g† may be replaced by
+    s [[1, conj(n)], [n, 1]], its diagonal-averaged form, which is
+    s (C(a + h) + C(a - h)) / 2 with a = arg(g1 conj(g0)), cos h = |n|. Both run
+    on the factor whose partner marginal (T[0, 1] or T[0, 2]) is further from
+    rank 1.
+    """
+    swap = abs(target[0, 1]) > abs(target[0, 2])
+    if swap:
+        target = target.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    t = target.tolist()
+    for form in (_dilation_terms, _factored_terms):
+        if (terms := form(t)) is None:
             continue
-        alpha = cmath.phase(g1 * g0.conjugate())
-        h = math.atan2(abs(m0 * m0 - m1 * m1), 2 * m0 * m1)
-        halves = [(theta, alpha)] if math.cos(h) == 1.0 else [(theta, alpha + h), (theta, alpha - h)]
-        atoms += halves
-        weights += [s / len(halves)] * len(halves)
-    atoms = np.array(atoms).reshape(-1, 2) % math.tau
-    return (atoms[:, ::-1] if swap else atoms), np.array(weights)
+        atoms, weights = [], []
+        for theta, g0, g1, share in terms:
+            m0, m1 = abs(g0), abs(g1)
+            s = share * (m0 * m0 + m1 * m1) / 2
+            if s == 0:
+                continue
+            z = g1 * g0.conjugate()
+            alpha = math.atan2(z.imag, z.real)
+            h = math.atan2(abs(m0 * m0 - m1 * m1), 2 * m0 * m1)
+            halves = [(theta, alpha)] if math.cos(h) == 1.0 else [(theta, alpha + h), (theta, alpha - h)]
+            atoms += halves
+            weights += [s / len(halves)] * len(halves)
+        atoms = np.array(atoms).reshape(-1, 2) % math.tau
+        yield (atoms[:, ::-1] if swap else atoms), np.array(weights)
 
 
 def _stalled(residual: float, tol: float) -> DecompositionError:
@@ -293,18 +427,22 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 
     The atoms are products C(theta) ⊗ C(phi) of equatorial 2x2 Gram matrices.
     The closed form of ``_closed_form_atoms`` gives at most 8 of them with
-    positive weights, two per column of a PSD factor of the matrix; on a
-    product mixture its entrywise residual is rounding. Only when that residual
-    still exceeds ``tol`` (the matrix is not a product mixture within ``tol``,
-    for instance not PSD) does column generation run from those atoms, as a
-    warm-started Lawson-Hanson NNLS (Lawson and Hanson, *Solving Least Squares
-    Problems*, 1974, ch. 23). Each round prices the atom that best matches the
-    residual exactly (see ``_best_atom``): its score is the negative gradient
-    of the squared fit error along that atom, so it is Lawson-Hanson's entering
-    column. It joins the atoms of positive weight with weight 0, and the inner
-    loop refits: a least-squares solve on those atoms is accepted when every
-    weight is positive; otherwise the weights step towards it up to the first
-    zero crossing and the atoms that reach zero leave. This repeats until the
+    positive weights. Its first candidate, for a full-rank matrix, is the
+    dilation of ``_dilation_terms``, which makes no LAPACK call; the factored
+    form of ``_factored_terms`` runs when the matrix is rank-deficient or the
+    dilation's entrywise residual exceeds ``tol``; each candidate's residual is
+    computed once. On a product mixture one of them fits to rounding. Only when
+    the last residual still exceeds ``tol`` (the matrix is not a product
+    mixture within ``tol``, for instance not PSD) does column generation run
+    from the last candidate's atoms, as a warm-started Lawson-Hanson NNLS
+    (Lawson and Hanson, *Solving Least Squares Problems*, 1974, ch. 23). Each
+    round prices the atom that best matches the residual exactly (see
+    ``_best_atom``): its score is the negative gradient of the squared fit
+    error along that atom, so it is Lawson-Hanson's entering column. It joins
+    the atoms of positive weight with weight 0, and the inner loop refits: a
+    least-squares solve on those atoms is accepted when every weight is
+    positive; otherwise the weights step towards it up to the first zero
+    crossing and the atoms that reach zero leave. This repeats until the
     residual is at most ``tol``. Raises DecompositionError with the residual
     when no atom improves the fit or the entering atom's own least-squares
     weight is not positive (the matrix is not a product mixture within
@@ -326,12 +464,15 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     b = np.concatenate([target.real.ravel(), target.imag.ravel()])
     no_gain = _NO_GAIN_RTOL * 4 * np.linalg.norm(b)
     # The passive set: the atoms of positive weight, their columns and weights.
-    atoms, weights = _closed_form_atoms(target) if max_abs(target) > tol else (np.empty((0, 2)), np.empty(0))
-    columns = _product_column(*atoms.T)
-    fit = columns @ weights
-    rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
+    candidates = _closed_form_atoms(target) if max_abs(target) > tol else [(np.empty((0, 2)), np.empty(0))]
+    for atoms, weights in candidates:
+        columns = _product_column(*atoms.T)
+        fit = columns @ weights
+        rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
+        if (residual := max_abs(rest)) <= tol:
+            break
     rounds = 0
-    while (residual := max_abs(rest)) > tol:
+    while residual > tol:
         if rounds == _MAX_ROUNDS:
             raise DecompositionError(
                 f"product decomposition stopped after {rounds} atoms at residual {residual:.3e} > {tol:.1e}",
@@ -359,6 +500,7 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
             atoms, columns, weights = atoms[keep], columns[:, keep], weights[keep]
         fit = columns @ weights
         rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
+        residual = max_abs(rest)
 
     # Both factors of every term, validated as Gram matrices in one pass.
     factors = _circle_gram(atoms)

@@ -238,7 +238,10 @@ def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChan
     return bipartite_channel([u], (d, d * d, d, d * d))
 
 
-def _check_simulation_dims(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray) -> int:
+def _check_simulation_dims(
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """The system dimension d and tau as a finite complex matrix, once the triple's dimensions agree."""
     tau = as_complex_matrix(tau)
     d = enc.sys_in
     if enc.sys_out != d or dec.sys_in != d or dec.sys_out != d:
@@ -251,7 +254,7 @@ def _check_simulation_dims(enc: BipartiteChannel, dec: BipartiteChannel, tau: np
         )
     if tau.shape != (enc.mem_in, enc.mem_in):
         raise DimensionError(f"memory state shape {tau.shape} != ({enc.mem_in}, {enc.mem_in})")
-    return d
+    return d, tau
 
 
 def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray) -> np.ndarray:
@@ -262,8 +265,8 @@ def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndar
     dephasing realization R vanishes unless (p, q, m, n) == (i, j, k, l), and
     the surviving entries are the superchannel's Gram matrix.
     """
-    d = _check_simulation_dims(enc, dec, tau)
-    rhs = _tensor(*_superoperators(enc, dec, as_complex_matrix(tau)))
+    d, tau = _check_simulation_dims(enc, dec, tau)
+    rhs = _tensor(*_superoperators(enc, dec, tau))
     return rhs.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
 
 
@@ -315,8 +318,8 @@ def verify_simulation_consistency(
     enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float = DEFAULT_TOL
 ) -> SimulationConsistencyReport:
     """Evaluate the simulation tensor everywhere and report the worst mismatched entry."""
-    d = _check_simulation_dims(enc, dec, tau)
-    gram, mismatch = _audit(_tensor(*_superoperators(enc, dec, as_complex_matrix(tau))), d)
+    d, tau = _check_simulation_dims(enc, dec, tau)
+    gram, mismatch = _audit(_tensor(*_superoperators(enc, dec, tau)), d)
     return SimulationConsistencyReport(d=d, gram_entries=gram, max_mismatch=mismatch, tol=tol)
 
 
@@ -496,8 +499,8 @@ def verify_dephasing_realization(
     a NaN or negative tol.
     """
     check_tol(tol)
-    _check_simulation_dims(enc, dec, tau)
-    return _report(enc, dec, as_complex_matrix(tau), tol)
+    _, tau = _check_simulation_dims(enc, dec, tau)
+    return _report(enc, dec, tau, tol)
 
 
 def gram_from_simulation(
@@ -527,8 +530,7 @@ def circuit_oracle(
 
     Brute-force reference: makes no dephasing assumption about enc/dec.
     """
-    d = _check_simulation_dims(enc, dec, tau)
-    tau = as_complex_matrix(tau)
+    d, tau = _check_simulation_dims(enc, dec, tau)
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionError(f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal d={d}")
 

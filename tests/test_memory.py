@@ -26,7 +26,7 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit import memory
-from dephkit.linalg import basis_vector, max_abs, measure
+from dephkit.linalg import basis_vector, max_abs, measure, random_unitary
 from dephkit.memory import (
     _EXPONENT_SUMS,
     _NEWTON_STEPS,
@@ -228,14 +228,29 @@ def no_pricing(monkeypatch):
 @pytest.fixture
 def no_closed_form(monkeypatch):
     """Start the pricing loop from an empty passive set, so that a test reaches the loop itself."""
-    monkeypatch.setattr(memory, "_closed_form_atoms", lambda target: (np.empty((0, 2)), np.empty(0)))
+    monkeypatch.setattr(memory, "_closed_form_atoms", lambda target: [(np.empty((0, 2)), np.empty(0))])
+
+
+def _refuse_lapack(*args, **kwargs):
+    raise AssertionError("called LAPACK")
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Fail any certificate that takes the factored closed form or one of its LAPACK calls."""
+    monkeypatch.setattr(memory, "psd_factors", _refuse_lapack)
+    for name in ("svd", "eigvals", "solve", "eigh"):
+        monkeypatch.setattr(np.linalg, name, _refuse_lapack)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("seed", range(100))
-def test_decompose_nearest_passive_sweep(seed, tol, no_pricing):
+def test_decompose_nearest_passive_sweep(seed, tol, no_pricing, no_lapack):
+    # A random gate is full rank, so the dilation certifies it in scalar arithmetic.
     sg = nearest_passive_qubit(random_super_gram(2, seed))
-    _assert_certificate(sg, decompose_product_qubit(sg, tol=tol), tol)
+    dec = decompose_product_qubit(sg, tol=tol)
+    _assert_certificate(sg, dec, tol)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
 
 
 def test_decompose_sweep_takes_drop_steps(monkeypatch, no_closed_form):
@@ -341,6 +356,38 @@ def test_decompose_same_phi_mixtures(seed, spread, no_pricing):
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-12), 1e-12)
 
 
+@pytest.mark.parametrize("mat", [np.eye(4), kron(np.eye(2), disk_gram(0.5, 1.0))])
+def test_decompose_block_diagonal_targets_without_lapack(mat, no_pricing, no_lapack):
+    # B = 0 makes K = 0: both singular values vanish, so the dilation's
+    # singular vectors and its unitaries ±i I rest on the fallback bases.
+    sg = validate_super_gram(mat, 2)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
+
+
+def _fit_residual(target, atoms, weights):
+    fit = _product_column(*atoms.T) @ weights
+    return max_abs(target - (fit[:16] + 1j * fit[16:]).reshape(4, 4))
+
+
+def test_decompose_falls_back_to_the_factored_form(monkeypatch, no_pricing):
+    # Four products with theta and phi both spread by 1e-4: T is full rank, but
+    # both marginals are nearly pure, so A^{-1/2} loses accuracy and the
+    # dilation's fit misses 1e-12; the factored form must certify it.
+    rng = np.random.default_rng(2)
+    sg = circle_mixture(rng.random(4) + 0.05, 1.0 + 1e-4 * rng.standard_normal(4), 2.0 + 1e-4 * rng.standard_normal(4))
+    dilation, factored = memory._closed_form_atoms(sg.mat)
+    assert _fit_residual(sg.mat, *dilation) > 1e-12
+    assert _fit_residual(sg.mat, *factored) <= 1e-14
+    forms = []
+    for name in ("_dilation_terms", "_factored_terms"):
+        form = getattr(memory, name)
+        monkeypatch.setattr(memory, name, lambda t, form=form, name=name: forms.append(name) or form(t))
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-12), 1e-12)
+    assert forms == ["_dilation_terms", "_factored_terms"]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_decompose_repairs_a_partial_closed_form(monkeypatch, seed):
     # With the first 1-3 closed-form atoms missing, the pricing loop runs from
@@ -352,7 +399,9 @@ def test_decompose_repairs_a_partial_closed_form(monkeypatch, seed):
         priced.append(rest)
         return best_atom(rest)
 
-    monkeypatch.setattr(memory, "_closed_form_atoms", lambda target: tuple(x[seed % 3 + 1 :] for x in closed_form(target)))
+    monkeypatch.setattr(
+        memory, "_closed_form_atoms", lambda target: [tuple(x[seed % 3 + 1 :] for x in next(closed_form(target)))]
+    )
     monkeypatch.setattr(memory, "_best_atom", counted)
     sg = nearest_passive_qubit(random_super_gram(2, seed + 800))
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10, max_terms=9)
@@ -490,6 +539,31 @@ def test_pricing_matches_the_reference_kernel(seed, blend, radius):
     product = kron(disk_gram(radius, t1), disk_gram(radius, t2))
     rest = (1 - blend) * (g + g.conj().T) + blend * product
     assert _assert_best_atom(rest) >= reference_best_atom(rest)[2] - 1e-12
+
+
+def _su2(gamma, omega, n):
+    """e^{i gamma} (cos omega I + i sin omega n·σ) for a unit vector n, as a matrix."""
+    x, y, z = n
+    return np.exp(1j * gamma) * (math.cos(omega) * np.eye(2) + 1j * math.sin(omega) * np.array([[z, x - 1j * y], [x + 1j * y, -z]]))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.exp(0.7j) * np.eye(2),  # one eigenvalue of multiplicity 2: any orthonormal basis
+        -np.eye(2),
+        _su2(0.0, 1e-12, (0.6, 0.0, 0.8)),  # I + 1e-12 iH to rounding
+        _su2(2.5, 1e-12, (0.0, -0.6, -0.8)),
+        _su2(-1.0, np.pi / 2, (1.0, 0.0, 0.0)),
+        np.diag([1.0, -1.0]),
+        *(random_unitary(2, np.random.default_rng(seed)) for seed in range(6)),
+    ],
+)
+def test_unitary_eigenbasis_is_orthonormal_and_reproduces_u(u):
+    pairs = memory._unitary_eigenpairs(tuple(u.ravel().tolist()))
+    vecs = np.array([v for _, v in pairs]).T
+    assert max_abs(vecs.conj().T @ vecs - np.eye(2)) <= 1e-15
+    assert max_abs(sum(value * np.outer(v, np.conj(v)) for value, v in pairs) - u) <= 1e-15
 
 
 @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.7123, 2.4988), (np.pi, -np.pi / 2), (5.9, 3.1)])
