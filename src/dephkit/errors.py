@@ -36,7 +36,10 @@ class NotDephasingRealizationError(DephkitError):
 
 
 class DecompositionError(DephkitError):
-    """Product-decomposition search did not reach the requested tolerance."""
+    """No product decomposition fits the matrix within the requested tolerance.
+
+    ``residual`` is the entrywise fit error of the best closed-form candidate.
+    """
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -9,11 +9,12 @@ with an explicit nearest passive matrix and an exact product decomposition
 that certifies membership: at most 8 terms, read off in closed form. A
 full-rank matrix is certified by a dilation of a 2x2 contraction into two
 unitaries, in scalar arithmetic; a rank-deficient one, or one whose dilation
-misses the tolerance, by one factorization of the matrix and the eigenbasis
-of a unitary. Column generation, run as a warm-started Lawson-Hanson
-nonnegative least squares, is the repair path when both miss the tolerance.
-A one-parameter qutrit family with its controlled-unitary realization and a
-bundled experimental qubit matrix round out the module.
+loses accuracy, by one factorization of the matrix and the eigenbasis of a
+unitary. A matrix whose block diagonals are constant only to within the
+tolerance is certified from their average, and one that the closed form does
+not fit within the tolerance is refused. A one-parameter qutrit family with
+its controlled-unitary realization and a bundled experimental qubit matrix
+round out the module.
 """
 
 from __future__ import annotations
@@ -52,17 +53,24 @@ def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _passive_deviation(sg: SuperGram) -> float:
-    """Largest distance of a block's diagonal entry from that block's mean diagonal."""
+def _passive_projection(sg: SuperGram) -> tuple[np.ndarray, float]:
+    """The Gram matrix with every block diagonal replaced by its mean, and the largest entry that moved.
+
+    Averaging the diagonal of each d x d block is the projection onto the
+    matrices with constant block diagonals; the distance moved is the passive
+    deviation.
+    """
     d = sg.d
-    diags = np.einsum("ikjk->ijk", sg.mat.reshape(d, d, d, d))  # diag(block (i, j)) as [i, j, k]
-    return float(np.abs(diags - diags.mean(axis=2, keepdims=True)).max())
+    averaged = sg.mat.copy()
+    diags = np.einsum("ikjk->ijk", averaged.reshape(d, d, d, d))  # a writable view of diag(block (i, j)) as [i, j, k]
+    diags[...] = diags.mean(axis=2, keepdims=True)
+    return averaged, max_abs(sg.mat - averaged)
 
 
 def is_passive_compatible(sg: SuperGram, tol: float = DEFAULT_TOL) -> bool:
     """True iff every block of the Gram matrix has a constant diagonal within tol."""
     check_tol(tol)
-    return _passive_deviation(sg) <= tol
+    return _passive_projection(sg)[1] <= tol
 
 
 def memory_activity_qubit(sg: SuperGram) -> float:
@@ -85,14 +93,7 @@ def nearest_passive_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> SuperGram:
     """
     if sg.d != 2:
         raise DimensionError(f"nearest passive matrix is implemented for d=2 only, got d={sg.d}")
-    out = sg.mat.copy()
-    for i in range(2):
-        for j in range(2):
-            blk = out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            mean = (blk[0, 0] + blk[1, 1]) / 2
-            blk[0, 0] = mean
-            blk[1, 1] = mean
-    return validate_super_gram(out, 2, tol=tol)
+    return validate_super_gram(_passive_projection(sg)[0], 2, tol=tol)
 
 
 def ppt_min_eig(
@@ -153,96 +154,21 @@ def _circle_gram(theta) -> np.ndarray:
 # Entry ((a, c), (b, d)) of C(theta) ⊗ C(phi) is exp(i((a-b) theta + (c-d) phi)):
 # row 4(2a + c) + 2b + d of this table holds (a - b, c - d).
 _EXPONENTS = np.array([(a - b, c - d) for a, c, b, d in np.ndindex(2, 2, 2, 2)])
-# Row 3(p+1) + (q+1) of this map sums the entries whose exponents are (p, q). It is
-# built in Python: a broadcast == at import adds about 0.3 MB to every process's peak RSS.
-_EXPONENT_SUMS = np.array([[float(3 * (p + 1) + (q + 1) == row) for p, q in _EXPONENTS.tolist()] for row in range(9)])
 
 
 def _product_column(theta, phi) -> np.ndarray:
-    """Real and imaginary parts of C(theta) ⊗ C(phi), raveled; for arrays of angles, one column per atom."""
-    m = np.exp(1j * (_EXPONENTS @ (theta, phi)))
-    return np.concatenate([m.real, m.imag])
-
-
-# An atom C(theta) ⊗ C(phi) has Frobenius norm 4, so the score Re<R, atom>
-# carries rounding of about 1e-16 * 4 ||target||. A best score below
-# _NO_GAIN_RTOL * 4 ||target|| is taken as "no product atom improves the fit".
-_NO_GAIN_RTOL = 1e-13
-# Column generation adds one atom per round; the optimum needs at most 9, and
-# the Lawson-Hanson refit drops the atoms that later ones supersede.
-_MAX_ROUNDS = 100
-# Newton converges quadratically from the ~1e-8 accurate root candidate.
-_NEWTON_STEPS = 4
-# Near its maximum f is flat to rounding, which is a few machine epsilons
-# times sum_k |a_k| + |b_k|: a Newton step may lower f by this factor times it.
-_NEWTON_SLACK = 8 * float(np.finfo(float).eps)
-
-
-def _jet(c: list[complex], z: complex) -> tuple[complex, complex, complex]:
-    """C, C' and C'' at theta for C(theta) = c_{-1} e^{-i theta} + c_0 + c_1 e^{i theta}, z = e^{i theta}."""
-    lo, hi = c[0] / z, c[2] * z
-    return lo + c[1] + hi, 1j * (hi - lo), -(hi + lo)
-
-
-def _best_atom(rest: np.ndarray) -> tuple[float, float, float]:
-    """Product atom (theta, phi) maximizing Re<rest, C(theta) ⊗ C(phi)>, and that score.
-
-    The score is A(theta) + Re(B(theta) e^{i phi}) with A, B degree-1
-    trigonometric polynomials, so the best phi is -arg B(theta) and
-    f = A + |B| remains. Squaring f' = 0, i.e. 2|B| A' = -(|B|^2)', gives
-    Q = 4 |B|^2 f' g' = 0 with g = A - |B|: a degree-4 trigonometric
-    (degree-8 algebraic) polynomial whose roots hold every stationary point
-    of f, unless g is constant (a product target), where f = 2A + const
-    peaks at -arg a_1. The candidates are scored in one vectorized pass.
-    Near product targets, or where squaring makes the maximizer a double
-    root, np.roots resolves it only to about the square root of machine
-    precision, so the best candidate is polished by Newton steps on f. They
-    run on scalars: A, B and their first two derivatives come from one
-    z = e^{i theta} (see ``_jet``), and f is carried from one step to the
-    next. A step is refused when f'' is not negative or when f falls by more
-    than its rounding, eight machine epsilons times sum_k |a_k| + |b_k|
-    (_NEWTON_SLACK): at a maximum f is flat to rounding, and a comparison
-    without that slack would let rounding refuse the last steps.
-    """
-    s = (_EXPONENT_SUMS @ rest.conj().ravel()).reshape(3, 3)  # s[p + 1, q + 1]
-    a = (s[:, 1] + s[::-1, 1].conj()) / 2  # A(theta) = sum_p a_p e^{ip theta}, real
-    b = s[:, 2] + s[::-1, 0].conj()  # B(theta) = sum_p b_p e^{ip theta}
-    bb = np.convolve(b, b[::-1].conj())  # |B|^2
-    da = a * 1j * np.arange(-1, 2)
-    dbb = bb * 1j * np.arange(-2, 3)
-    q = 4 * np.convolve(np.convolve(da, da), bb) - np.convolve(dbb, dbb)
-    thetas = np.concatenate([np.angle(np.roots(q[::-1])), [-np.angle(a[2]), 0.0]])
-    z = np.exp(1j * thetas)
-    scores = (a[0] / z + a[1] + a[2] * z).real + np.abs(b[0] / z + b[1] + b[2] * z)
-    best = int(np.argmax(scores))
-    theta, f = float(thetas[best]), float(scores[best])
-
-    slack = _NEWTON_SLACK * float(np.abs(a).sum() + np.abs(b).sum())
-    a, b = a.tolist(), b.tolist()
-    z = complex(math.cos(theta), math.sin(theta))
-    jet_a, jet_b = _jet(a, z), _jet(b, z)
-    for _ in range(_NEWTON_STEPS):
-        (_, a1, a2), (b0, b1, b2) = jet_a, jet_b
-        mod = abs(b0)
-        if mod == 0:
-            break
-        dmod = (b0.conjugate() * b1).real / mod
-        d2f = a2.real + (abs(b1) ** 2 + (b0.conjugate() * b2).real - dmod**2) / mod
-        if not d2f < 0:
-            break
-        step = theta - (a1.real + dmod) / d2f
-        z = complex(math.cos(step), math.sin(step))
-        step_a, step_b = _jet(a, z), _jet(b, z)
-        step_f = step_a[0].real + abs(step_b[0])
-        if step_f < f - slack:
-            break
-        theta, f, jet_a, jet_b = step, step_f, step_a, step_b
-    return theta % math.tau, -math.atan2(jet_b[0].imag, jet_b[0].real) % math.tau, f
+    """C(theta) ⊗ C(phi), raveled; for arrays of angles, one column per atom."""
+    return np.exp(1j * (_EXPONENTS @ (theta, phi)))
 
 
 # The rank rule of ``psd_factors`` on the 4x4 target T: an eigenvalue counts when it
 # exceeds 4 eps λ_max(T), and λ_max(T) <= tr T = 4.
 _FULL_RANK = 16 * float(np.finfo(float).eps)
+# A closed-form fit is taken as exact when no entry misses by more than this. T's
+# entries are at most 1 in modulus, and the dilation's fit of a random gate
+# misses by a few eps; one that misses by more has lost accuracy to a badly
+# conditioned A^{-1/2}, and the factored form is tried as well.
+_EXACT_FIT = 16 * float(np.finfo(float).eps)
 
 
 def _apply(m: tuple, v: tuple) -> tuple[complex, complex]:
@@ -382,15 +308,15 @@ def _factored_terms(t: list) -> list[tuple[float, complex, complex, float]]:
 def _closed_form_atoms(target: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Candidate product atoms (theta, phi) with positive weights for a passive qubit Gram matrix, best first.
 
-    Yields at most two candidates of at most 8 atoms each: the dilation
-    (``_dilation_terms``) when T is full rank, then the factored form
-    (``_factored_terms``), which the caller reaches only when the first misses
-    its tolerance. Each gives terms T = sum share C(theta) ⊗ g g†. Since T's
+    Yields at most two candidates of at most 8 distinct atoms each: the
+    dilation (``_dilation_terms``) when T is full rank, then the factored form
+    (``_factored_terms``), which the caller reaches only when the first does
+    not fit exactly. Each gives terms T = sum share C(theta) ⊗ g g†. Since T's
     blocks have constant diagonals, g g† may be replaced by
     s [[1, conj(n)], [n, 1]], its diagonal-averaged form, which is
-    s (C(a + h) + C(a - h)) / 2 with a = arg(g1 conj(g0)), cos h = |n|. Both run
-    on the factor whose partner marginal (T[0, 1] or T[0, 2]) is further from
-    rank 1.
+    s (C(a + h) + C(a - h)) / 2 with a = arg(g1 conj(g0)), cos h = |n|. Atoms
+    with exactly equal angles are merged, their weights summed. Both run on the
+    factor whose partner marginal (T[0, 1] or T[0, 2]) is further from rank 1.
     """
     swap = abs(target[0, 1]) > abs(target[0, 2])
     if swap:
@@ -399,7 +325,7 @@ def _closed_form_atoms(target: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndar
     for form in (_dilation_terms, _factored_terms):
         if (terms := form(t)) is None:
             continue
-        atoms, weights = [], []
+        weights = {}  # (theta, phi) -> weight
         for theta, g0, g1, share in terms:
             m0, m1 = abs(g0), abs(g1)
             s = share * (m0 * m0 + m1 * m1) / 2
@@ -408,51 +334,39 @@ def _closed_form_atoms(target: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndar
             z = g1 * g0.conjugate()
             alpha = math.atan2(z.imag, z.real)
             h = math.atan2(abs(m0 * m0 - m1 * m1), 2 * m0 * m1)
-            halves = [(theta, alpha)] if math.cos(h) == 1.0 else [(theta, alpha + h), (theta, alpha - h)]
-            atoms += halves
-            weights += [s / len(halves)] * len(halves)
-        atoms = np.array(atoms).reshape(-1, 2) % math.tau
-        yield (atoms[:, ::-1] if swap else atoms), np.array(weights)
-
-
-def _stalled(residual: float, tol: float) -> DecompositionError:
-    return DecompositionError(
-        f"product decomposition stalled at residual {residual:.3e} > {tol:.1e}: no product atom improves the fit",
-        residual,
-    )
+            phis = [alpha] if math.cos(h) == 1.0 else [alpha + h, alpha - h]
+            for phi in phis:
+                atom = (theta % math.tau, phi % math.tau)
+                weights[atom] = weights.get(atom, 0.0) + s / len(phis)
+        atoms = np.array(list(weights)).reshape(-1, 2)
+        yield (atoms[:, ::-1] if swap else atoms), np.array(list(weights.values()))
 
 
 def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductDecomposition:
     """Decompose a passive-compatible qubit Gram matrix into product terms.
 
     The atoms are products C(theta) ⊗ C(phi) of equatorial 2x2 Gram matrices.
-    The closed form of ``_closed_form_atoms`` gives at most 8 of them with
-    positive weights. Its first candidate, for a full-rank matrix, is the
-    dilation of ``_dilation_terms``, which makes no LAPACK call; the factored
-    form of ``_factored_terms`` runs when the matrix is rank-deficient or the
-    dilation's entrywise residual exceeds ``tol``; each candidate's residual is
-    computed once. On a product mixture one of them fits to rounding. Only when
-    the last residual still exceeds ``tol`` (the matrix is not a product
-    mixture within ``tol``, for instance not PSD) does column generation run
-    from the last candidate's atoms, as a warm-started Lawson-Hanson NNLS
-    (Lawson and Hanson, *Solving Least Squares Problems*, 1974, ch. 23). Each
-    round prices the atom that best matches the residual exactly (see
-    ``_best_atom``): its score is the negative gradient of the squared fit
-    error along that atom, so it is Lawson-Hanson's entering column. It joins
-    the atoms of positive weight with weight 0, and the inner loop refits: a
-    least-squares solve on those atoms is accepted when every weight is
-    positive; otherwise the weights step towards it up to the first zero
-    crossing and the atoms that reach zero leave. This repeats until the
-    residual is at most ``tol``. Raises DecompositionError with the residual
-    when no atom improves the fit or the entering atom's own least-squares
-    weight is not positive (the matrix is not a product mixture within
-    ``tol``), or after ``_MAX_ROUNDS`` atoms, and ValueError for a NaN or
-    negative ``tol``.
+    A matrix whose block diagonals deviate from constant by at most ``tol``
+    is first averaged onto constant block diagonals, the projection of
+    ``nearest_passive_qubit``, and the closed form of ``_closed_form_atoms``
+    reads at most 8 atoms with positive weights off that average. Its first
+    candidate, for a full-rank matrix, is the dilation of ``_dilation_terms``,
+    which makes no LAPACK call. It is kept when it fits the average within
+    ``_EXACT_FIT``; otherwise the factored form of ``_factored_terms`` runs
+    as well, and the candidate with the smaller fit error is kept. On a
+    product mixture that fit is exact to rounding. ``tol`` decides only
+    whether the certificate is accepted: its residual, the largest entrywise
+    distance from the caller's matrix, must be at most ``tol``. Raises
+    ValidationError ("passive-compatibility") for a larger deviation,
+    DecompositionError with the residual when the matrix is not a product
+    mixture within ``tol`` (for instance, not PSD), and ValueError for a NaN
+    or negative ``tol``.
     """
     check_tol(tol)
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
-    if (deviation := _passive_deviation(sg)) > tol:
+    averaged, deviation = _passive_projection(sg)
+    if deviation > tol:
         raise ValidationError(
             "passive-compatibility",
             f"Gram matrix: a block diagonal deviates from constant by {deviation:.3e} > {tol:.3e}; "
@@ -460,47 +374,18 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
             deviation,
         )
 
-    target = sg.mat
-    b = np.concatenate([target.real.ravel(), target.imag.ravel()])
-    no_gain = _NO_GAIN_RTOL * 4 * np.linalg.norm(b)
-    # The passive set: the atoms of positive weight, their columns and weights.
-    candidates = _closed_form_atoms(target) if max_abs(target) > tol else [(np.empty((0, 2)), np.empty(0))]
+    fits = []  # (fit error on the average, atoms, weights, fit) per candidate tried
+    candidates = _closed_form_atoms(averaged) if max_abs(sg.mat) > tol else [(np.empty((0, 2)), np.empty(0))]
     for atoms, weights in candidates:
-        columns = _product_column(*atoms.T)
-        fit = columns @ weights
-        rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
-        if (residual := max_abs(rest)) <= tol:
+        fit = (_product_column(*atoms.T) @ weights).reshape(4, 4)
+        fits.append((max_abs(averaged - fit), atoms, weights, fit))
+        if fits[-1][0] <= _EXACT_FIT:
             break
-    rounds = 0
-    while residual > tol:
-        if rounds == _MAX_ROUNDS:
-            raise DecompositionError(
-                f"product decomposition stopped after {rounds} atoms at residual {residual:.3e} > {tol:.1e}",
-                residual,
-            )
-        theta, phi, score = _best_atom(rest)
-        if score <= no_gain:
-            raise _stalled(residual, tol)
-        rounds += 1
-        atoms = np.vstack([atoms, (theta, phi)])
-        columns = np.column_stack([columns, _product_column(theta, phi)])
-        weights = np.append(weights, 0.0)
-        for _ in range(weights.size):  # a pass that does not accept drops at least one atom
-            ls = np.linalg.lstsq(columns, b, rcond=None)[0]
-            if (ls > 0).all():
-                weights = ls
-                break
-            if weights[-1] == 0 and not ls[-1] > 0:  # only the entering atom has weight 0
-                raise _stalled(residual, tol)
-            down = np.flatnonzero(ls <= 0)
-            ratios = weights[down] / (weights[down] - ls[down])
-            weights = weights + ratios.min() * (ls - weights)
-            weights[down[ratios.argmin()]] = 0.0
-            keep = weights > 0
-            atoms, columns, weights = atoms[keep], columns[:, keep], weights[keep]
-        fit = columns @ weights
-        rest = target - (fit[:16] + 1j * fit[16:]).reshape(4, 4)
-        residual = max_abs(rest)
+    _, atoms, weights, fit = min(fits, key=lambda f: f[0])
+    if not (residual := max_abs(sg.mat - fit)) <= tol:
+        raise DecompositionError(
+            f"product decomposition residual {residual:.3e} > {tol:.1e}: not a product mixture within tol", residual
+        )
 
     # Both factors of every term, validated as Gram matrices in one pass.
     factors = _circle_gram(atoms)
