@@ -339,6 +339,20 @@ def test_decompose_accuracy_does_not_follow_tol():
     assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_repairs_a_partial_closed_form(monkeypatch, seed):
+    # With the dilation's first 1-3 terms missing, its fit is far from exact,
+    # so the factored form must run, and its exact fit is the one kept.
+    dilation = memory._dilation_terms
+    monkeypatch.setattr(memory, "_dilation_terms", lambda t: dilation(t)[seed % 3 + 1 :])
+    sg = nearest_passive_qubit(random_super_gram(2, seed + 800))
+    partial, _ = memory._closed_form_atoms(sg.mat)
+    assert _fit_residual(sg.mat, *partial) > 1e-10
+    dec = decompose_product_qubit(sg, tol=1e-10)
+    _assert_certificate(sg, dec, 1e-10)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
 @pytest.mark.parametrize("seed", range(5))
 def test_decompose_averages_deviating_block_diagonals(seed, tol):
@@ -424,6 +438,59 @@ def test_decompose_search_failure_carries_residual():
     with pytest.raises(DecompositionError) as err:
         decompose_product_qubit(sg, tol=1e-9)
     assert 1e-9 < err.value.residual < 1e-2
+
+
+@pytest.mark.parametrize("seed", range(200))
+@pytest.mark.parametrize("radius", [1.0, 0.9, 0.6, 0.3])
+def test_pricing_is_exact_on_product_residuals(seed, radius):
+    # C(r, t1) ⊗ C(r, t2) is a rank-1 target at unit radius, read off by the
+    # factored form as the single atom (t1, t2), and a full-rank one below it,
+    # read off by the dilation. Either way its atoms price it exactly.
+    rng = np.random.default_rng(seed + 4000)
+    t1, t2 = 2 * np.pi * rng.random(2)
+    sg = validate_super_gram(kron(disk_gram(radius, t1), disk_gram(radius, t2)), 2)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
+    if radius == 1.0:
+        (term,) = dec.terms
+        assert abs(np.angle(term.c1.mat[1, 0] * np.exp(-1j * t1))) < 1e-12
+        assert abs(np.angle(term.c2.mat[1, 0] * np.exp(-1j * t2))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pricing_finds_the_best_product_atom(seed):
+    # A pure factor C(t) is an extreme point of its disk, so every atom of a
+    # decomposition of C(t) ⊗ C(r, t2), or of C(r, t2) ⊗ C(t), carries C(t)
+    # on that side; odd seeds put it second, which the closed form swaps.
+    rng = np.random.default_rng(seed + 3000)
+    t, t2 = 2 * np.pi * rng.random(2)
+    pure = seed % 2
+    factors = [disk_gram(1.0, t), disk_gram(rng.uniform(0.1, 0.95), t2)]
+    sg = validate_super_gram(kron(*factors[:: 1 - 2 * pure]), 2)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+    assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
+    for term in dec.terms:
+        assert max_abs((term.c1, term.c2)[pure].mat - factors[0]) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0, 1), st.floats(0, 1))
+def test_pricing_matches_the_reference_kernel(seed, blend, radius):
+    # Random gates blended towards a product target, which is rank deficient
+    # at radius 1. The scalar dilation is kept only when its fit is exact to
+    # _EXACT_FIT; the certificate never fits worse than the LAPACK factored
+    # form, the reference.
+    rng = np.random.default_rng(seed)
+    gate = nearest_passive_qubit(random_super_gram(2, seed)).mat
+    t1, t2 = 2 * np.pi * rng.random(2)
+    product = kron(disk_gram(radius, t1), disk_gram(radius, t2))
+    sg = validate_super_gram((1 - blend) * gate + blend * product, 2)
+    *_, factored = memory._closed_form_atoms(sg.mat)
+    dec = decompose_product_qubit(sg, tol=1e-12)
+    _assert_certificate(sg, dec, 1e-12)
+    assert dec.residual <= max(memory._EXACT_FIT, _fit_residual(sg.mat, *factored))
 
 
 def _su2(gamma, omega, n):
