@@ -138,10 +138,15 @@ def cmd_gram_from_unitaries(args) -> int:
     return EXIT_OK
 
 
-def cmd_gram_from_simulation(args) -> int:
+def _read_triple(args):
+    """The encoder, decoder and memory state of a realization command; the library checks tau."""
     enc = io.read_bipartite(args.enc, tol=args.tol)
     dec = io.read_bipartite(args.dec, tol=args.tol)
-    tau = channels.density_matrix(io.read_matrix(args.tau), tol=args.tol)
+    return enc, dec, io.read_matrix(args.tau)
+
+
+def cmd_gram_from_simulation(args) -> int:
+    enc, dec, tau = _read_triple(args)
     report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
     try:
         sg = superchannels.gram_from_simulation(enc, dec, tau, tol=args.tol)
@@ -178,9 +183,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify_realization(args) -> int:
-    enc = io.read_bipartite(args.enc, tol=args.tol)
-    dec = io.read_bipartite(args.dec, tol=args.tol)
-    tau = channels.density_matrix(io.read_matrix(args.tau), tol=args.tol)
+    enc, dec, tau = _read_triple(args)
     report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
     result = superchannels.verify_dephasing_realization(enc, dec, tau, tol=args.tol)
     for check in result.checks:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 Which = Literal["first", "second"]
 
@@ -119,8 +120,7 @@ def reshuffle(m: np.ndarray, d: int | None = None) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude; 0 for empty input."""
-    m = np.asarray(m)
-    return float(np.abs(m).max()) if m.size else 0.0
+    return float(np.abs(m).max(initial=0.0))
 
 
 # Measure layer: each named invariant is measured by one function, as a finite
@@ -152,8 +152,8 @@ def _unit_trace(m: np.ndarray) -> float:
 def _equal_diagonal_blocks(m: np.ndarray) -> float:
     """Largest entry difference between a d x d diagonal block of a d^2 x d^2 matrix and the first."""
     d = isqrt(m.shape[0])
-    c00 = m[:d, :d]
-    return max(max_abs(m[i * d : (i + 1) * d, i * d : (i + 1) * d] - c00) for i in range(d))
+    blocks = np.einsum("ikil->ikl", m.reshape(d, d, d, d))
+    return max_abs(blocks - blocks[0])
 
 
 def _trace_preserving(kraus) -> float:
@@ -230,8 +230,8 @@ def psd_factors(m: np.ndarray) -> tuple[float, np.ndarray]:
     F F† = H but for the eigenvalues at or below that cutoff.
     """
     vals, vecs = np.linalg.eigh(hermitize(m))
-    keep = vals > m.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
-    return float(vals[0]), vecs[:, keep] * np.sqrt(vals[keep])
+    first = int(vals.searchsorted(m.shape[0] * _EPS * max(float(vals[-1]), 0.0), "right"))  # vals ascend
+    return float(vals[0]), vecs[:, first:] * np.sqrt(vals[first:])
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

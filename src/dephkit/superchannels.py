@@ -10,22 +10,30 @@ pair realizes one, and provides a brute-force full-circuit oracle.
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
 
-Realization engine. With b[i,t,p,g] and a[k,g,m,a] the decoder's and
-encoder's Kraus tensors ([sys_out, mem_out, sys_in, mem_in]), M the middle
-memory's dimension and tau the initial memory state, the simulation tensor
-contracts two superoperators:
+Realization engine. Each entry point checks the memory state tau once, as
+a "memory state" through ``violation``: "hermitian", "unit-trace" and "psd"
+at the caller's tol (DEFAULT_TOL in simulation_tensor and circuit_oracle,
+which take none). The same ``psd_factors`` call gives S with S S† = tau.
+With a_c and b_c the encoder's and decoder's Kraus tensors ([sys_out,
+mem_out, sys_in, mem_in], stacked over c by ``kraus_tensors``, so c stays
+first) and M the middle memory's dimension, every contraction reads two
+folded tensors, whose index pairs (c, r) and (c, t) are summed as one and
+written r and t below:
+
+    x[k,g,m,(c,r)] = sum_a a_c[k,g,m,a] S[a,r], the encoder with tau absorbed
+    b[i,(c,t),p,g] = b_c[i,t,p,g], the Kraus index folded into the traced memory
 
     D[(i,p,j,q),(g,h)] = sum_t b[i,t,p,g] conj(b[j,t,q,h])
         a d^4 x M^2 matrix; entry (i, j) of Tr_mem N_de(|p><q| ⊗ |g><h|)
-    E[k,g,m,l,h,n] = sum_ab a[k,g,m,a] tau[a,b] conj(a[l,h,n,b])
+    E[k,g,m,l,h,n] = sum_r x[k,g,m,r] conj(x[l,h,n,r]), that is E = x x†
         shape (d, M, d, d, M, d); entry ((k, g), (l, h)) of N_en(|m><n| ⊗ tau)
     R[(i,p,j,q),(k,m,l,n)] = sum_gh D[(i,p,j,q),(g,h)] E[k,g,m,l,h,n]
-        a d^4 x d^4 matrix, one (d^4 x M^2)(M^2 x d^4) product
+        the simulation tensor, one (d^4 x M^2)(M^2 x d^4) product
 
 The four realization checks never build D or E. Each quantity they read is
-one contraction of the Kraus tensors, summed over the Kraus operators:
+one product of the folded tensors, over all Kraus operators at once:
 
-    Tr_mem N_en(|m><n| ⊗ tau), one (d^2 x M M_in)(M M_in x d^2) product each
+    Tr_mem N_en(|m><n| ⊗ tau), one d^2 x d^2 product summed over (g, r)
     sigma_m = Tr_sys N_en(|m><m| ⊗ tau), batched over m
     Tr_mem N_de(|p><q| ⊗ sigma_m), batched over m
     the Gram entries R[(i,i,j,j),(k,k,l,l)], from the matched rows
@@ -33,17 +41,17 @@ one contraction of the Kraus tensors, summed over the Kraus operators:
 
 The fifth check, simulation-mismatch, is the largest |R| off the matched
 index tuples. It needs R only when the first two checks read a nonzero
-value. For a state tau, R is a Gram matrix, R = sum W ⊗ conj(W) over the
-composite Kraus operators
+value. Built from tau = S S†, R is a Gram matrix, R = sum W ⊗ conj(W) over
+the composite Kraus operators
 
-    W[(i,p),(k,m)] = sum_g b[i,t,p,g] (a sqrt(tau))[k,g,m,r],
+    W[(i,p),(k,m)] = sum_g b[i,t,p,g] x[k,g,m,r],
 
-so |R[x,y]| <= sqrt(R[x,x] R[y,y]) with x = (i,p,k,m). An unmatched x has
-k != m or i != p. At k != m, summing R[x,x] over i gives the encoder's
+so |R[y,z]| <= sqrt(R[y,y] R[z,z]) with y = (i,p,k,m). An unmatched y has
+k != m or i != p. At k != m, summing R[y,y] over i gives the encoder's
 reduced[(k,m),(k,m)] (the decoder is trace preserving); at i != p,
-summing R[x,x] over k at fixed m gives the decoder's images[m,(i,p),(i,p)].
+summing R[y,y] over k at fixed m gives the decoder's images[m,(i,p),(i,p)].
 The terms of both sums are nonnegative, the two entries are ones the
-encoder-dephasing and decoder-dephasing checks read, and every R[y,y] is
+encoder-dephasing and decoder-dephasing checks read, and every R[z,z] is
 at most 1 + tol, so with v the larger of those two check values
 
     simulation-mismatch <= sqrt((1 + tol) v).
@@ -68,7 +76,6 @@ from .linalg import (
     as_complex_matrix,
     basis_matrix,
     basis_vector,
-    check_tol,
     dagger,
     kron,
     max_abs,
@@ -212,10 +219,10 @@ class BipartiteChannel:
     mem_out: int
     inner: Channel
 
-    def kraus_tensors(self) -> list[np.ndarray]:
-        """Kraus operators reshaped to [sys_out, mem_out, sys_in, mem_in]."""
-        shape = (self.sys_out, self.mem_out, self.sys_in, self.mem_in)
-        return [k.reshape(shape) for k in self.inner.kraus]
+    def kraus_tensors(self) -> np.ndarray:
+        """Kraus operators stacked as [kraus, sys_out, mem_out, sys_in, mem_in]."""
+        shape = (len(self.inner.kraus), self.sys_out, self.mem_out, self.sys_in, self.mem_in)
+        return np.concatenate(self.inner.kraus).reshape(shape)
 
 
 def bipartite_channel(
@@ -238,10 +245,8 @@ def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChan
     return bipartite_channel([u], (d, d * d, d, d * d))
 
 
-def _check_simulation_dims(
-    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """The system dimension d and tau as a finite complex matrix, once the triple's dimensions agree."""
+def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> np.ndarray:
+    """S with S S† = tau, once the triple's dimensions agree and tau is a state within tol."""
     tau = as_complex_matrix(tau)
     d = enc.sys_in
     if enc.sys_out != d or dec.sys_in != d or dec.sys_out != d:
@@ -249,12 +254,22 @@ def _check_simulation_dims(
     if d < 2:
         raise DimensionError(f"system dimension must be >= 2, got d={d}")
     if dec.mem_in != enc.mem_out:
-        raise DimensionError(
-            f"decoder memory input {dec.mem_in} != encoder memory output {enc.mem_out}"
-        )
+        raise DimensionError(f"decoder memory input {dec.mem_in} != encoder memory output {enc.mem_out}")
     if tau.shape != (enc.mem_in, enc.mem_in):
         raise DimensionError(f"memory state shape {tau.shape} != ({enc.mem_in}, {enc.mem_in})")
-    return d, tau
+    deviations = measure(tau, ("hermitian", "unit-trace"))
+    lam_min, s = psd_factors(tau)
+    deviations["psd"] = -lam_min
+    if (exc := violation(deviations, tol, "memory state")) is not None:
+        raise exc
+    return s
+
+
+def _folded(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The folded encoder x and decoder b of the module docstring, once tau is checked at tol."""
+    s = _memory_factor(enc, dec, tau, tol)
+    a = enc.kraus_tensors()
+    return (a.reshape(-1, enc.mem_in) @ s).reshape(a.shape[:4] + (-1,)), dec.kraus_tensors()
 
 
 def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray) -> np.ndarray:
@@ -263,23 +278,22 @@ def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndar
     R contracts the decoder superoperator (output memory traced out) against
     the encoder superoperator fed with the initial memory state. For a genuine
     dephasing realization R vanishes unless (p, q, m, n) == (i, j, k, l), and
-    the surviving entries are the superchannel's Gram matrix.
+    the surviving entries are the superchannel's Gram matrix. Raises
+    ValidationError when tau is not a state within DEFAULT_TOL.
     """
-    d, tau = _check_simulation_dims(enc, dec, tau)
-    rhs = _tensor(*_superoperators(enc, dec, tau))
+    d = enc.sys_in
+    rhs = _tensor(*_superoperators(*_folded(enc, dec, tau, DEFAULT_TOL)))
     return rhs.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
 
 
-def _superoperators(
-    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The decoder's D and the encoder's E, in the layouts of the module docstring."""
-    d, mem = enc.sys_in, enc.mem_out
-    rows = [b.transpose(1, 0, 2, 3).reshape(dec.mem_out, d * d * mem) for b in dec.kraus_tensors()]
-    dec_op = sum(y.T @ y.conj() for y in rows)  # [(i,p,g),(j,q,h)]
+def _superoperators(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's D and the encoder's E from the folded tensors, in the layouts of the module docstring."""
+    _, d, mem = x.shape[:3]
+    rows = b.transpose(0, 2, 1, 3, 4).reshape(-1, d * d * mem)  # [(c,t),(i,p,g)]
+    dec_op = rows.T @ rows.conj()  # [(i,p,g),(j,q,h)]
     dec_op = dec_op.reshape(d, d, mem, d, d, mem).transpose(0, 1, 3, 4, 2, 5)
-    cols = [a.reshape(d * mem * d, enc.mem_in) for a in enc.kraus_tensors()]
-    enc_op = sum(x @ tau @ x.conj().T for x in cols)
+    cols = x.transpose(1, 2, 3, 0, 4).reshape(d * mem * d, -1)  # [(k,g,m),(c,r)]
+    enc_op = cols @ dagger(cols)
     return dec_op.reshape(d**4, mem * mem), enc_op.reshape(d, mem, d, d, mem, d)
 
 
@@ -317,9 +331,10 @@ class SimulationConsistencyReport:
 def verify_simulation_consistency(
     enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float = DEFAULT_TOL
 ) -> SimulationConsistencyReport:
-    """Evaluate the simulation tensor everywhere and report the worst mismatched entry."""
-    d, tau = _check_simulation_dims(enc, dec, tau)
-    gram, mismatch = _audit(_tensor(*_superoperators(enc, dec, tau)), d)
+    """Evaluate the simulation tensor everywhere and report the worst mismatched entry;
+    raises ValidationError when tau is not a state within tol."""
+    d = enc.sys_in
+    gram, mismatch = _audit(_tensor(*_superoperators(*_folded(enc, dec, tau, tol))), d)
     return SimulationConsistencyReport(d=d, gram_entries=gram, max_mismatch=mismatch, tol=tol)
 
 
@@ -373,26 +388,21 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float) -> RealizationReport:
-    """The four realization checks from the Kraus tensors, and the
+def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
+    """The four realization checks from the folded tensors, and the
     simulation-mismatch check only when those four pass."""
-    d, mem, mem_in, mem_out = enc.sys_in, enc.mem_out, enc.mem_in, dec.mem_out
+    _, d, mem = x.shape[:3]
 
     # Encoder: reduced[(k,m),(l,n)] = Tr_mem N_en(|m><n| ⊗ tau)[k, l]
     # must vanish off (k, l) == (m, n). Conditional memory states
     # sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h]. Matched columns of E:
     # enc_matched[(k,g),(l,h)] = N_en(|k><l| ⊗ tau)[(k,g),(l,h)].
-    reduced = np.zeros((d * d, d * d), dtype=complex)
-    sigma = np.zeros((d, mem, mem), dtype=complex)
-    enc_matched = np.zeros((d * mem, d * mem), dtype=complex)
-    for a in enc.kraus_tensors():
-        a_tau = a @ tau  # [k,g,m,b] = sum_a a[k,g,m,a] tau[a,b]
-        lhs, rhs = (t.transpose(0, 2, 1, 3).reshape(d * d, mem * mem_in) for t in (a_tau, a))
-        reduced += lhs @ rhs.conj().T  # sum over (g, b)
-        lhs, rhs = (t.transpose(2, 1, 0, 3).reshape(d, mem, d * mem_in) for t in (a_tau, a))
-        sigma += lhs @ rhs.conj().transpose(0, 2, 1)  # sum over (k, b), batched over m
-        lhs, rhs = (np.einsum("kgkb->kgb", t).reshape(d * mem, mem_in) for t in (a_tau, a))
-        enc_matched += lhs @ rhs.conj().T  # sum over b
+    lhs = x.transpose(1, 3, 2, 0, 4).reshape(d * d, -1)  # [(k,m),(g,c,r)]
+    reduced = lhs @ dagger(lhs)
+    lhs = x.transpose(3, 2, 1, 0, 4).reshape(d, mem, -1)  # [m,g,(k,c,r)]
+    sigma = lhs @ dagger(lhs)
+    lhs = np.einsum("ckgkr->kgcr", x).reshape(d * mem, -1)  # [(k,g),(c,r)]
+    enc_matched = lhs @ dagger(lhs)
     matched = reduced[:: d + 1, :: d + 1]
     c_en = matched.copy()
     matched[...] = 0.0
@@ -401,16 +411,13 @@ def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: 
     # Decoder: images[m,(i,p),(j,q)] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
     # must vanish off (i, j) == (p, q). Matched rows of D:
     # dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
-    images = np.zeros((d, d * d, d * d), dtype=complex)
-    dec_matched = np.zeros((d * mem, d * mem), dtype=complex)
-    for b in dec.kraus_tensors():
-        rows = b.transpose(0, 2, 1, 3).reshape(d * d * mem_out, mem)  # [(i,p,t),g]
-        rows_sigma = (rows @ sigma).reshape(d, d * d, mem_out * mem)  # [m,(i,p),(t,h)]
-        images += rows_sigma @ rows.reshape(d * d, mem_out * mem).conj().T  # sum over (t, h)
-        rows = np.einsum("itig->igt", b).reshape(d * mem, mem_out)
-        dec_matched += rows @ rows.conj().T  # sum over t
+    rows = b.transpose(1, 3, 0, 2, 4).reshape(-1, mem)  # [(i,p,c,t),g]
+    rows_sigma = (rows @ sigma).reshape(d, d * d, -1)  # [m,(i,p),(c,t,h)]
+    images = rows_sigma @ dagger(rows.reshape(d * d, -1))
+    rows = np.einsum("citig->igct", b).reshape(d * mem, -1)  # [(i,g),(c,t)]
+    dec_matched = rows @ dagger(rows)
     matched = images[:, :: d + 1, :: d + 1]
-    c_de = tuple(matched.copy())
+    c_de = matched.copy()
     matched[...] = 0.0
     worst = np.abs(images).reshape(d, -1).max(axis=1)
     dec_violation = float(worst.max())
@@ -425,59 +432,30 @@ def _report(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: 
     gram_entries = gram_entries.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
     # Marginals of the extracted Gram matrix must reproduce c_en and c_de.
-    marg_violation = max(
-        [max_abs(gram_entries[:d, :d] - c_en)]
-        + [max_abs(gram_entries[m::d, m::d] - c_de[m]) for m in range(d)]
-    )
+    blocks = gram_entries.reshape(d, d, d, d)  # [i,k,j,l]
+    marg_violation = max(max_abs(blocks[0, :, 0, :] - c_en), max_abs(np.einsum("imjm->mij", blocks) - c_de))
 
     gram_deviations = measure(gram_entries, SUPER_GRAM_CHECKS)
     exc = violation(gram_deviations, tol, "extracted Gram matrix")
     gram_violation, gram_detail = (0.0, "") if exc is None else (exc.value, f"{exc.check}: {exc}")
 
-    checks = (
-        ConditionCheck(
-            "encoder-dephasing",
-            enc_violation <= tol,
-            enc_violation,
-            "encoder must act on the system as a dephasing channel",
-        ),
-        ConditionCheck(
-            "decoder-dephasing",
-            dec_violation <= tol,
-            dec_violation,
-            dec_detail or "decoder must dephase the system for every conditional memory state",
-        ),
-        ConditionCheck(
-            "marginal-consistency",
-            marg_violation <= tol,
-            marg_violation,
-            "diagonal block and per-level block diagonals must match the extracted marginals",
-        ),
-        ConditionCheck(
-            "gram-structure",
-            gram_violation <= tol,
-            gram_violation,
-            gram_detail or "extracted matrix satisfies the superchannel Gram invariants",
-        ),
-    )
-    if all(c.passed for c in checks):
-        if max(enc_violation, dec_violation) == 0.0:
-            # mismatch <= sqrt((1 + tol) v) with v == 0 (module docstring)
-            mismatch = 0.0
-        else:
-            mismatch = _audit(_tensor(*_superoperators(enc, dec, tau)), d)[1]
-        checks += (
-            ConditionCheck(
-                "simulation-mismatch",
-                mismatch <= tol,
-                mismatch,
-                "simulation tensor must vanish off the matched index tuples",
-            ),
-        )
+    conditions = [
+        ("encoder-dephasing", enc_violation, "encoder must act on the system as a dephasing channel"),
+        ("decoder-dephasing", dec_violation,
+         dec_detail or "decoder must dephase the system for every conditional memory state"),
+        ("marginal-consistency", marg_violation,
+         "diagonal block and per-level block diagonals must match the extracted marginals"),
+        ("gram-structure", gram_violation, gram_detail or "extracted matrix satisfies the superchannel Gram invariants"),
+    ]
+    if all(value <= tol for _, value, _ in conditions):
+        # mismatch <= sqrt((1 + tol) v), so v == 0 gives 0.0 without R (module docstring)
+        v = max(enc_violation, dec_violation)
+        mismatch = 0.0 if v == 0.0 else _audit(_tensor(*_superoperators(x, b)), d)[1]
+        conditions.append(("simulation-mismatch", mismatch, "simulation tensor must vanish off the matched index tuples"))
     return RealizationReport(
-        checks=checks,
+        checks=tuple(ConditionCheck(name, value <= tol, value, detail) for name, value, detail in conditions),
         c_en=c_en,
-        c_de=c_de,
+        c_de=tuple(c_de),
         sigma=tuple(sigma),
         gram_entries=gram_entries,
         gram_deviations=MappingProxyType(gram_deviations),
@@ -496,11 +474,9 @@ def verify_dephasing_realization(
     encoder-dephasing or decoder-dephasing value; at zero, the bound of
     RealizationReport makes simulation-mismatch exactly 0.0. Purely
     diagnostic: never raises on a failing realization. Raises ValueError for
-    a NaN or negative tol.
+    a NaN or negative tol, and ValidationError for a tau not a state at tol.
     """
-    check_tol(tol)
-    _, tau = _check_simulation_dims(enc, dec, tau)
-    return _report(enc, dec, tau, tol)
+    return _report(*_folded(enc, dec, tau, tol), tol)
 
 
 def gram_from_simulation(
@@ -513,6 +489,7 @@ def gram_from_simulation(
     include the Gram invariants of the extracted matrix, and the vanishing
     of the simulation tensor at all mismatched index tuples. Whatever that
     call builds dies with it, so the traceback of the error holds none of it.
+    A tau that is not a state within tol raises ValidationError instead.
     """
     report = verify_dephasing_realization(enc, dec, tau, tol)
     if not report.passed:
@@ -529,14 +506,14 @@ def circuit_oracle(
     """Full circuit Tr_mem ∘ N_de ∘ (E ⊗ I) ∘ N_en(· ⊗ tau) by Kraus composition.
 
     Brute-force reference: makes no dephasing assumption about enc/dec.
+    Raises ValidationError when tau is not a state within DEFAULT_TOL.
     """
-    d, tau = _check_simulation_dims(enc, dec, tau)
+    d, s = enc.sys_in, _memory_factor(enc, dec, tau, DEFAULT_TOL)
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionError(f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal d={d}")
 
-    prep = [kron(np.eye(d), f[:, None]) for f in psd_factors(tau)[1].T]
-    mem_mid = enc.mem_out
-    mid = [kron(k, np.eye(mem_mid)) for k in ch.kraus]
+    prep = [kron(np.eye(d), f[:, None]) for f in s.T]
+    mid = [kron(k, np.eye(enc.mem_out)) for k in ch.kraus]
     discard = [kron(np.eye(d), basis_vector(b, dec.mem_out)[None, :]) for b in range(dec.mem_out)]
 
     kraus = [

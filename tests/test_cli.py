@@ -479,6 +479,28 @@ def test_env_tol_override(capsys, tmp_path, monkeypatch):
     assert main(["gram-validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "tau,says",
+    [
+        (np.array([[0.5, 0.1], [-0.1, 0.5]]), "deviation from Hermitian is"),
+        (0.6 * np.eye(2), "trace deviates from 1 by"),
+        (np.diag([2.0, -1.0]), "smallest eigenvalue lies below 0 by"),
+    ],
+    ids=["hermitian", "unit-trace", "psd"],
+)
+@pytest.mark.parametrize("command", ["gram-from-simulation", "verify-realization"])
+def test_memory_state_that_is_not_a_state_is_a_domain_error(capsys, tmp_path, command, tau, says):
+    # The library checks tau; the CLI only reads it, and reports the refusal in one line.
+    ident, tau_path = tmp_path / "ident.json", tmp_path / "tau.json"
+    write_bipartite(ident, identity_bipartite(2, 2))
+    write_matrix(tau_path, tau)
+    assert main([command, str(ident), str(ident), str(tau_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: memory state: {says} ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_bad_tolerance_is_a_parse_error(capsys, monkeypatch, source, value):

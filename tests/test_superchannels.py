@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CMAX, audit_only_triple, permutation
+from conftest import CMAX, audit_only_triple, permutation, random_psd
 from dephkit import (
     DimensionError,
     NotDephasingRealizationError,
@@ -482,6 +482,13 @@ def realization_triple(kind, d, seed=0):
         enc = random_bipartite((d, 2, d, 3), 2, rng)
         dec = random_bipartite((d, 3, d, 2), 2, rng)
         return enc, dec, random_density_matrix(2, seed)
+    if kind == "rank-2-memory-state":
+        # Two Kraus operators on each side and a rank-2 tau on three levels:
+        # the folded index (Kraus operator, factor column) has 2 x 2 entries.
+        enc = random_bipartite((d, 3, d, 2), 2, rng)
+        dec = random_bipartite((d, 2, d, 4), 2, rng)
+        tau = random_psd(3, rng, rank=2)
+        return enc, dec, tau / np.trace(tau)
     fourier_channel = bipartite_channel([kron(fourier(d), np.eye(mem))], dims)
     tau = pure_memory_state(mem)
     if kind == "non-mio-encoder":
@@ -516,7 +523,9 @@ def realization_triple(kind, d, seed=0):
 
 CONTROLLED_KINDS = ("diag", "diag-kraus-rank-2", "coherent", "kraus-rank-2")
 GENUINE_KINDS = CONTROLLED_KINDS + ("identity", "fourier-on-an-empty-level")
-BROKEN_KINDS = ("unequal-memories", "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring")
+BROKEN_KINDS = (
+    "unequal-memories", "rank-2-memory-state", "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring"
+)
 ENGINE_KINDS = GENUINE_KINDS + BROKEN_KINDS
 
 
@@ -777,8 +786,9 @@ def test_triple_that_is_not_system_controlled_builds_the_tensor(make, passed, mo
     st.sampled_from([2, 3]),
     st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
     st.integers(1, 2),
+    st.integers(1, 3),
 )
-def test_mismatch_obeys_the_leakage_bound(seed, d, mems, rank):
+def test_mismatch_obeys_the_leakage_bound(seed, d, mems, rank, tau_rank):
     # mismatch <= sqrt((1 + tol) v), v the larger encoder/decoder leakage;
     # 1e-9 is the trace-preservation tol the channels are built to.
     rng = np.random.default_rng(seed)
@@ -786,7 +796,8 @@ def test_mismatch_obeys_the_leakage_bound(seed, d, mems, rank):
     # enough Kraus operators for an isometry when the memory shrinks
     enc = random_bipartite((d, mem_in, d, mem), max(rank, -(-mem_in // mem)), rng)
     dec = random_bipartite((d, mem, d, mem_out), max(rank, -(-mem // mem_out)), rng)
-    tau = random_density_matrix(mem_in, seed)
+    tau = random_psd(mem_in, rng, rank=min(tau_rank, mem_in))
+    tau /= np.trace(tau)
     enc_check, dec_check, *_, mismatch = verify_dephasing_realization(enc, dec, tau, tol=np.inf).checks
     assert mismatch.name == "simulation-mismatch"
     v = max(enc_check.max_violation, dec_check.max_violation)
@@ -800,3 +811,41 @@ def test_realization_refuses_a_nan_or_negative_tol(tol):
         verify_dephasing_realization(enc, dec, tau, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         gram_from_simulation(enc, dec, tau, tol=tol)
+
+
+# A memory state that is not a state: each of the three checks, on the triple
+# that once passed every realization check at 0.0 with tau = diag(2, -1).
+NON_STATES = {
+    "hermitian": np.array([[0.5, 0.1], [-0.1, 0.5]]),
+    "unit-trace": 0.6 * np.eye(2),
+    "psd": np.diag([2.0, -1.0]),
+}
+ENTRY_POINTS = {
+    "verify_dephasing_realization": lambda enc, dec, tau, tol: verify_dephasing_realization(enc, dec, tau, tol),
+    "gram_from_simulation": lambda enc, dec, tau, tol: gram_from_simulation(enc, dec, tau, tol),
+    "verify_simulation_consistency": lambda enc, dec, tau, tol: verify_simulation_consistency(enc, dec, tau, tol),
+    "simulation_tensor": lambda enc, dec, tau, tol: simulation_tensor(enc, dec, tau),  # at DEFAULT_TOL
+    "circuit_oracle": lambda enc, dec, tau, tol: circuit_oracle(enc, dec, tau, identity_channel(2)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("check", NON_STATES)
+def test_realization_refuses_a_memory_state_that_is_not_a_state(entry, check):
+    ident = identity_bipartite(2, 2)
+    with pytest.raises(ValidationError, match="^memory state: ") as err:
+        ENTRY_POINTS[entry](ident, ident, NON_STATES[check], 1e-9)
+    assert err.value.check == check
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_realization_accepts_a_memory_state_within_tol(entry):
+    # lambda_min = -tol / 2 passes the psd check at tol 1e-9, DEFAULT_TOL included
+    tol = 1e-9
+    ident = identity_bipartite(2, 2)
+    tau = np.diag([1 + tol / 2, -tol / 2])
+    ENTRY_POINTS[entry](ident, ident, tau, tol)
+    if entry not in ("simulation_tensor", "circuit_oracle"):
+        with pytest.raises(ValidationError, match="^memory state: ") as err:
+            ENTRY_POINTS[entry](ident, ident, tau, tol / 4)
+        assert err.value.check == "psd"
