@@ -7,7 +7,6 @@ from .bloch import (
     affine_map,
     gram_action_on_affine,
     jamiolkowski_from_affine,
-    xy_plane_projection,
 )
 from .channels import (
     Channel,
@@ -20,15 +19,11 @@ from .channels import (
     density_matrix,
     dephasing_channel,
     gram_matrix,
-    identity_channel,
     jamiolkowski,
     l1_coherence,
     max_entangled_state,
-    maximally_dephasing_channel,
     random_channel,
-    random_density_matrix,
     superop_from_kraus,
-    unitary_channel,
 )
 from .errors import (
     DecompositionError,
@@ -72,7 +67,6 @@ from .superchannels import (
     controlled_unitary_family,
     gram_from_controlled_unitaries,
     gram_from_simulation,
-    identity_super_gram,
     random_controlled_family,
     random_super_gram,
     validate_super_gram,

@@ -2,8 +2,8 @@
 
 A trace-preserving linear map on qubit states acts on Bloch vectors as
 r -> Lambda r + t. The map need not be completely positive; the x-y plane
-projection used in the memory-activity analysis is the canonical example of
-a positive but non-CP map handled here.
+projection, which the memory-activity analysis applies as a block-diagonal
+average, is the canonical example of a positive but non-CP map.
 
 Sign conventions are anchored by the identity
 |Psi><Psi| = (I⊗I + s1⊗s1 - s2⊗s2 + s3⊗s3) / 4,
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_channel, max_entangled_state
+from .channels import Channel, apply_channel
 from .errors import DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, max_abs, readonly_copy, require
+from .linalg import DEFAULT_TOL, as_complex_matrix, readonly_copy, require
 from .superchannels import SuperGram
 
 SIGMA = (
@@ -52,11 +52,6 @@ def affine_map(lam, t) -> AffineMap:
     return AffineMap(
         lam=readonly_copy(np.asarray(lam, dtype=float)), t=readonly_copy(np.asarray(t, dtype=float))
     )
-
-
-def xy_plane_projection() -> AffineMap:
-    """The positive, non-CP map that projects Bloch vectors onto the x-y plane."""
-    return affine_map(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
 
 
 def _affine_from_action(action) -> AffineMap:
@@ -128,14 +123,3 @@ def gram_action_on_affine(sg: SuperGram, a: AffineMap, tol: float = DEFAULT_TOL)
     checks = ("jamiolkowski-hermitian", "jamiolkowski-psd", "jamiolkowski-tp")
     require(jam_out, checks, tol, "transformed matrix")
     return affine_from_jamiolkowski(jam_out)
-
-
-def pauli_anchor_defect() -> float:
-    """Max deviation of the maximally entangled projector from its Pauli expansion."""
-    expansion = (
-        np.kron(_I2, _I2)
-        + np.kron(SIGMA[0], SIGMA[0])
-        - np.kron(SIGMA[1], SIGMA[1])
-        + np.kron(SIGMA[2], SIGMA[2])
-    ) / 4
-    return max_abs(expansion - max_entangled_state(2))

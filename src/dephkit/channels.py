@@ -34,14 +34,6 @@ def density_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     return rho
 
 
-def random_density_matrix(d: int, seed: int) -> np.ndarray:
-    """Full-rank random state from a normalized Wishart matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ dagger(g)
-    return w / np.trace(w)
-
-
 def max_entangled_state(d: int) -> np.ndarray:
     """Projector onto (1/sqrt(d)) sum_i |ii>."""
     psi = np.zeros(d * d, dtype=complex)
@@ -74,23 +66,12 @@ class Channel:
         if self.trace_preserving:
             require(self.kraus, ("trace-preserving",), tol, "channel")
 
-    def kraus_sum(self) -> np.ndarray:
-        return sum(dagger(k) @ k for k in self.kraus)
-
 
 def channel_from_kraus(kraus, trace_preserving: bool = True, tol: float = DEFAULT_TOL) -> Channel:
     """Build a Channel from an iterable of equal-shape Kraus matrices, TP within tol when asked."""
     ops = tuple(readonly_copy(as_complex_matrix(k)) for k in kraus)
     rows, cols = ops[0].shape if ops else (0, 0)  # Channel refuses an empty list
     return Channel(kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=trace_preserving, tol=tol)
-
-
-def identity_channel(d: int) -> Channel:
-    return channel_from_kraus([np.eye(d, dtype=complex)])
-
-
-def unitary_channel(u) -> Channel:
-    return channel_from_kraus([u])
 
 
 def superop_from_kraus(ch: Channel) -> np.ndarray:
@@ -156,10 +137,6 @@ def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
 def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
     """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†, TP within tol."""
     return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T], tol=tol)
-
-
-def maximally_dephasing_channel(d: int) -> Channel:
-    return dephasing_channel(gram_matrix(np.eye(d)))
 
 
 def classical_action(ch: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:

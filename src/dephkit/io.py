@@ -39,13 +39,15 @@ def matrix_to_obj(mat: np.ndarray) -> dict:
 def matrix_from_obj(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
+        if rows < 0 or cols < 0:
+            raise FileFormatError(f"negative matrix dimensions rows = {rows}, cols = {cols}")
         data = obj["data"]
         if len(data) != rows * cols:
             raise FileFormatError(f"data length {len(data)} != rows*cols = {rows * cols}")
         flat = np.array([complex(re, im) for re, im in data])
     except FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed matrix object: {exc}") from exc
     mat = flat.reshape(rows, cols)
     if not np.isfinite(mat).all():
@@ -93,6 +95,8 @@ def write_channel(path, ch: Channel, kind: str = "kraus") -> None:
 
 
 def _channel_from_obj(obj, tol: float) -> Channel:
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"channel file must hold a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind is None:
         # Fallback classification: a Kraus list without a tag, or a bare
@@ -140,7 +144,7 @@ def read_bipartite(path, tol: float = DEFAULT_TOL) -> BipartiteChannel:
     try:
         dims = (int(obj["sys_in"]), int(obj["mem_in"]), int(obj["sys_out"]), int(obj["mem_out"]))
         ops = [matrix_from_obj(k) for k in obj["kraus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed bipartite channel file: {exc}") from exc
     return bipartite_channel(ops, dims, tol=tol)
 

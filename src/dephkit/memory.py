@@ -87,9 +87,10 @@ def memory_activity_qubit(sg: SuperGram) -> float:
 def nearest_passive_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> SuperGram:
     """Closest passive-compatible Gram matrix in l1 distance.
 
-    Applies the x-y plane projection to the second tensor factor, which
-    replaces every block diagonal by its mean. Positivity of the result is
-    inherited from separability of qubit superchannel Gram matrices.
+    Replaces the diagonal of every 2x2 block by its mean
+    (``_passive_projection``); on the second tensor factor this projects
+    Bloch vectors onto the x-y plane. Positivity of the result is inherited
+    from separability of qubit superchannel Gram matrices.
     """
     if sg.d != 2:
         raise DimensionError(f"nearest passive matrix is implemented for d=2 only, got d={sg.d}")
@@ -192,11 +193,15 @@ def _bloch_eigenbasis(hz: float, hxy: complex) -> tuple[tuple, tuple]:
     It is (|h| + h_z, h_x + i h_y) or, for h_z < 0, (h_x - i h_y, |h| - h_z),
     normalized; neither cancels. The second is its orthogonal complement, so
     the pair is orthonormal to rounding even where the eigenvalues coincide;
-    h = 0 gives the standard basis.
+    h = 0 gives the standard basis. h is first divided by its largest
+    component, so a subnormal h neither loses its direction nor makes the
+    norm underflow to 0.
     """
-    r = math.hypot(hz, hxy.real, hxy.imag)
-    if r == 0:
+    scale = max(abs(hz), abs(hxy.real), abs(hxy.imag))
+    if scale == 0:
         return (1.0, 0.0), (0.0, 1.0)
+    hz, hxy = hz / scale, hxy / scale
+    r = math.hypot(hz, hxy.real, hxy.imag)
     norm = math.sqrt(2 * r * (r + abs(hz)))
     v = ((r + hz) / norm, hxy / norm) if hz >= 0 else (hxy.conjugate() / norm, (r - hz) / norm)
     return v, (-v[1].conjugate(), v[0].conjugate())
@@ -360,7 +365,8 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     ValidationError ("passive-compatibility") for a larger deviation,
     DecompositionError with the residual when the matrix is not a product
     mixture within ``tol`` (for instance, not PSD), and ValueError for a NaN
-    or negative ``tol``.
+    or negative ``tol``. A residual within ``_EXACT_FIT`` is rounding, and its
+    message names that level as the tol that certifies the matrix.
     """
     check_tol(tol)
     if sg.d != 2:
@@ -383,9 +389,14 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
             break
     _, atoms, weights, fit = min(fits, key=lambda f: f[0])
     if not (residual := max_abs(sg.mat - fit)) <= tol:
-        raise DecompositionError(
-            f"product decomposition residual {residual:.3e} > {tol:.1e}: not a product mixture within tol", residual
-        )
+        if residual <= _EXACT_FIT:  # then tol < _EXACT_FIT, and the fit is only rounding
+            reason = (
+                f"within the closed form's rounding level {_EXACT_FIT:.3e} (16 eps); "
+                "a tol at or above it certifies this matrix"
+            )
+        else:
+            reason = "not a product mixture within tol"
+        raise DecompositionError(f"product decomposition residual {residual:.3e} > {tol:.1e}: {reason}", residual)
 
     # Both factors of every term, validated as Gram matrices in one pass.
     factors = _circle_gram(atoms)

@@ -126,11 +126,6 @@ def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
     return SuperGram(d=d, mat=readonly_copy(m), deviations=MappingProxyType(deviations))
 
 
-def identity_super_gram(d: int) -> SuperGram:
-    """All-ones matrix: the superchannel that leaves every channel unchanged."""
-    return validate_super_gram(np.ones((d * d, d * d), dtype=complex), d)
-
-
 def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel:
     """Transform a channel by Schur-multiplying its Jamiolkowski state with the Gram matrix."""
     if ch.dim_in != ch.dim_out or ch.dim_in != sg.d:

@@ -15,11 +15,39 @@ from dephkit import (
     apply_channel,
     bipartite_channel,
     channel_from_kraus,
+    dephasing_channel,
     gram_matrix,
+    max_entangled_state,
+    validate_super_gram,
 )
-from dephkit.bloch import AffineMap
+from dephkit.bloch import _I2, SIGMA, AffineMap
 from dephkit.errors import DimensionError
-from dephkit.linalg import DEFAULT_TOL, as_complex_matrix, basis_matrix, max_abs, measure, violation
+from dephkit.linalg import DEFAULT_TOL, as_complex_matrix, basis_matrix, dagger, max_abs, measure, violation
+
+
+def random_density_matrix(d: int, seed: int) -> np.ndarray:
+    """Full-rank random state from a normalized Wishart matrix."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w = g @ dagger(g)
+    return w / np.trace(w)
+
+
+def identity_channel(d: int) -> Channel:
+    return channel_from_kraus([np.eye(d, dtype=complex)])
+
+
+def unitary_channel(u) -> Channel:
+    return channel_from_kraus([u])
+
+
+def maximally_dephasing_channel(d: int) -> Channel:
+    return dephasing_channel(gram_matrix(np.eye(d)))
+
+
+def identity_super_gram(d: int) -> SuperGram:
+    """All-ones matrix: the superchannel that leaves every channel unchanged."""
+    return validate_super_gram(np.ones((d * d, d * d), dtype=complex), d)
 
 
 def schur(a, b) -> np.ndarray:
@@ -65,6 +93,22 @@ def is_mio(ch: Channel, tol: float = DEFAULT_TOL) -> bool:
         if max_abs(out - np.diag(np.diag(out))) > tol:
             return False
     return True
+
+
+def xy_plane_projection() -> AffineMap:
+    """The positive, non-CP map that projects Bloch vectors onto the x-y plane."""
+    return affine_map(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
+
+
+def pauli_anchor_defect() -> float:
+    """Max deviation of the maximally entangled projector from its Pauli expansion."""
+    expansion = (
+        np.kron(_I2, _I2)
+        + np.kron(SIGMA[0], SIGMA[0])
+        - np.kron(SIGMA[1], SIGMA[1])
+        + np.kron(SIGMA[2], SIGMA[2])
+    ) / 4
+    return max_abs(expansion - max_entangled_state(2))
 
 
 def project_to_xy(a: AffineMap) -> AffineMap:

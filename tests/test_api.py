@@ -1,6 +1,9 @@
 import types
 
+import pytest
+
 import dephkit
+from dephkit import bloch, channels, superchannels
 
 # The public API, pinned: a name added to or removed from the package shows up
 # as a diff here, next to the CHANGES.md entry that says why.
@@ -8,21 +11,19 @@ PUBLIC_NAMES = [
     "AffineMap", "BipartiteChannel", "Channel", "ControlledUnitaryFamily", "DEFAULT_TOL",
     "DecompositionError", "DephkitError", "DimensionError", "GramMatrix",
     "NotDephasingRealizationError", "ProductDecomposition", "ProductTerm", "RealizationReport",
-    "SimulationConsistencyReport", "SuperGram", "ValidationError",
-    "affine_from_channel", "affine_from_jamiolkowski", "affine_map", "apply_channel",
-    "apply_super", "bipartite_channel", "channel_from_jamiolkowski", "channel_from_kraus",
-    "circuit_oracle", "classical_action", "coherence_generating_power",
-    "controlled_unitary_channel", "controlled_unitary_family", "decompose_product_qubit",
-    "density_matrix", "dephasing_channel", "family_gram", "family_ppt_closed_form",
-    "family_realization", "gram_action_on_affine", "gram_from_controlled_unitaries",
-    "gram_from_simulation", "gram_matrix", "identity_channel", "identity_super_gram",
-    "is_passive_compatible", "jamiolkowski", "jamiolkowski_from_affine", "kron",
-    "l1_coherence", "l1_distance", "max_entangled_state", "maximally_dephasing_channel",
-    "memory_activity_qubit", "min_eig_hermitian", "nearest_passive_qubit",
-    "nmr_experimental_gram", "partial_trace", "partial_transpose", "ppt_min_eig",
-    "random_channel", "random_controlled_family", "random_density_matrix", "random_super_gram",
-    "reshuffle", "superop_from_kraus", "unitary_channel", "validate_super_gram",
-    "verify_dephasing_realization", "verify_simulation_consistency", "xy_plane_projection",
+    "SimulationConsistencyReport", "SuperGram", "ValidationError", "affine_from_channel",
+    "affine_from_jamiolkowski", "affine_map", "apply_channel", "apply_super",
+    "bipartite_channel", "channel_from_jamiolkowski", "channel_from_kraus", "circuit_oracle",
+    "classical_action", "coherence_generating_power", "controlled_unitary_channel",
+    "controlled_unitary_family", "decompose_product_qubit", "density_matrix",
+    "dephasing_channel", "family_gram", "family_ppt_closed_form", "family_realization",
+    "gram_action_on_affine", "gram_from_controlled_unitaries", "gram_from_simulation",
+    "gram_matrix", "is_passive_compatible", "jamiolkowski", "jamiolkowski_from_affine", "kron",
+    "l1_coherence", "l1_distance", "max_entangled_state", "memory_activity_qubit",
+    "min_eig_hermitian", "nearest_passive_qubit", "nmr_experimental_gram", "partial_trace",
+    "partial_transpose", "ppt_min_eig", "random_channel", "random_controlled_family",
+    "random_super_gram", "reshuffle", "superop_from_kraus", "validate_super_gram",
+    "verify_dephasing_realization", "verify_simulation_consistency",
 ]
 
 
@@ -34,3 +35,20 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+# Test-only constructors kept in tests/reference.py, and the Kraus sum that the
+# "trace-preserving" check of linalg defines.
+MOVED_TO_TESTS = [
+    "identity_channel", "unitary_channel", "maximally_dephasing_channel", "random_density_matrix",
+    "identity_super_gram", "xy_plane_projection", "pauli_anchor_defect",
+]
+
+
+@pytest.mark.parametrize("module", [dephkit, channels, superchannels, bloch], ids=lambda m: m.__name__)
+def test_test_only_names_are_not_in_the_package(module):
+    assert [name for name in MOVED_TO_TESTS if hasattr(module, name)] == []
+
+
+def test_channel_has_no_kraus_sum():
+    assert not hasattr(dephkit.Channel, "kraus_sum")

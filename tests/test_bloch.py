@@ -9,21 +9,24 @@ from dephkit import (
     affine_map,
     apply_super,
     gram_action_on_affine,
-    identity_channel,
-    identity_super_gram,
     jamiolkowski,
     jamiolkowski_from_affine,
     max_entangled_state,
-    maximally_dephasing_channel,
     random_channel,
     random_super_gram,
-    unitary_channel,
     validate_super_gram,
+)
+from dephkit.bloch import SIGMA
+from dephkit.linalg import max_abs, min_eig_hermitian
+from reference import (
+    identity_channel,
+    identity_super_gram,
+    maximally_dephasing_channel,
+    pauli_anchor_defect,
+    project_to_xy,
+    unitary_channel,
     xy_plane_projection,
 )
-from dephkit.bloch import SIGMA, pauli_anchor_defect
-from dephkit.linalg import max_abs, min_eig_hermitian
-from reference import project_to_xy
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -15,21 +15,27 @@ from dephkit import (
     density_matrix,
     dephasing_channel,
     gram_matrix,
-    identity_channel,
     jamiolkowski,
     l1_coherence,
     max_entangled_state,
-    maximally_dephasing_channel,
     random_channel,
-    random_density_matrix,
     random_super_gram,
     reshuffle,
     superop_from_kraus,
-    unitary_channel,
     apply_super,
 )
-from dephkit.linalg import basis_matrix, max_abs
-from reference import compose, dephase_state, is_mio, is_psd, max_dephase
+from dephkit.linalg import basis_matrix, max_abs, measure
+from reference import (
+    compose,
+    dephase_state,
+    identity_channel,
+    is_mio,
+    is_psd,
+    max_dephase,
+    maximally_dephasing_channel,
+    random_density_matrix,
+    unitary_channel,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -237,7 +243,7 @@ def test_random_channel_contract():
     assert max_abs(ch.kraus[0] @ ch.kraus[0].conj().T - np.eye(2)) < 1e-9
     for seed in range(4):
         ch = random_channel(3, 2, seed)
-        assert max_abs(ch.kraus_sum() - np.eye(3)) < 1e-9
+        assert measure(ch.kraus, ("trace-preserving",))["trace-preserving"] < 1e-9
     a = random_channel(2, 2, seed=11)
     b = random_channel(2, 2, seed=11)
     assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
@@ -275,7 +281,7 @@ def test_jamiolkowski_requires_square_channel():
 @given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 10**6))
 def test_random_channels_are_tp_and_cp(d, env, seed):
     ch = random_channel(d, env, seed)
-    assert max_abs(ch.kraus_sum() - np.eye(d)) < 1e-9
+    assert measure(ch.kraus, ("trace-preserving",))["trace-preserving"] < 1e-9
     assert is_psd(jamiolkowski(ch), tol=1e-9)
 
 

@@ -20,12 +20,12 @@ from dephkit import (
     family_gram,
     gram_action_on_affine,
     gram_matrix,
-    identity_channel,
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
 from dephkit.linalg import measure, require, violation
 from dephkit.superchannels import SUPER_GRAM_CHECKS
+from reference import identity_channel
 
 TOLS = (1e-9, 1e-6)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,11 @@ import pytest
 import dephkit
 from conftest import CMAX, audit_only_triple, small_flip_channel
 from dephkit import (
-    identity_channel,
     jamiolkowski,
     kron,
     random_channel,
     random_controlled_family,
     random_super_gram,
-    unitary_channel,
 )
 from dephkit.cli import main
 from dephkit.io import (
@@ -31,7 +30,7 @@ from dephkit.io import (
 )
 from dephkit.linalg import basis_vector, max_abs
 from dephkit.superchannels import bipartite_channel, controlled_unitary_channel
-from reference import identity_bipartite
+from reference import identity_bipartite, identity_channel, unitary_channel
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -98,6 +97,40 @@ def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
     assert main(["gram-validate", str(path)]) == 2
+
+
+def _assert_parse_error(capsys, argv):
+    assert main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows,cols", [(-1, -4), (-2, -2), (math.inf, 0)])
+@pytest.mark.parametrize("command", ["gram-validate", "memory-activity", "ppt"])
+def test_matrix_dimensions_out_of_range_are_a_parse_error(capsys, tmp_path, command, rows, cols):
+    # rows * cols matches the data length of the negative pairs, so only the sign gives them away
+    path = tmp_path / "dimensions.json"
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    _assert_parse_error(capsys, [command, path])
+
+
+def test_bipartite_file_with_an_infinite_dimension_is_a_parse_error(capsys, tmp_path, realization_files):
+    _, dec, tau = realization_files
+    path = tmp_path / "enc.json"
+    obj = json.loads(dec.read_text())
+    obj["sys_in"] = math.inf
+    path.write_text(json.dumps(obj))
+    _assert_parse_error(capsys, ["verify-realization", path, dec, tau])
+
+
+@pytest.mark.parametrize("content", ["[1, 2, 3]", '"x"'], ids=["list", "string"])
+@pytest.mark.parametrize("command", ["apply", "bloch-affine"])
+def test_channel_file_that_is_not_an_object_is_a_parse_error(capsys, tmp_path, cmax_file, command, content):
+    path = tmp_path / "channel.json"
+    path.write_text(content)
+    _assert_parse_error(capsys, [command, path] + ([cmax_file] if command == "apply" else []))
 
 
 def test_memory_activity_bundled_nmr(capsys):

@@ -441,6 +441,54 @@ def test_decompose_search_failure_carries_residual():
     assert 1e-9 < err.value.residual < 1e-2
 
 
+ROUNDING_LEVEL = f"{memory._EXACT_FIT:.3e}"
+
+
+def test_refusal_beyond_rounding_says_not_a_product_mixture():
+    sg = validate_super_gram(np.eye(4) + 1.001 * (OFF_GRID - np.eye(4)), 2, tol=2e-3)
+    with pytest.raises(DecompositionError) as err:
+        decompose_product_qubit(sg, tol=1e-9)
+    assert "not a product mixture within tol" in str(err.value)
+    assert "rounding level" not in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15])
+def test_refusal_at_rounding_level_names_the_certifying_tol(tol):
+    # Exact circle mixtures of 1-5 atoms fit to rounding. A refusal below that
+    # level says so, and the tol it names certifies the same matrix.
+    rng = np.random.default_rng(3)
+    refused = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        mat = (_product_column(*(2 * np.pi * rng.random((2, n)))) @ rng.dirichlet(np.ones(n))).reshape(4, 4)
+        sg = validate_super_gram(mat, 2)
+        try:
+            decompose_product_qubit(sg, tol=tol)
+        except DecompositionError as err:
+            refused += 1
+            assert err.residual <= memory._EXACT_FIT
+            message = str(err)
+            assert f"rounding level {ROUNDING_LEVEL}" in message and "not a product mixture" not in message
+            _assert_certificate(sg, decompose_product_qubit(sg, tol=float(ROUNDING_LEVEL)), float(ROUNDING_LEVEL))
+    assert refused > 0
+
+
+def test_bloch_eigenbasis_of_a_subnormal_vector():
+    # A blend onto a product of radius 2.4e-99 hands the dilation a Bloch
+    # vector of 2.3e-312, whose squared norm underflows to 0.
+    for hz, hxy in [(0.0, 2.3e-312 + 0j), (-5e-324, 5e-324j), (1e-310, -3e-311 + 2e-311j)]:
+        vw = np.array(memory._bloch_eigenbasis(hz, hxy)).T
+        assert max_abs(vw.conj().T @ vw - np.eye(2)) < 1e-15
+        # h·σ in units of its largest component, against its eigenvalues ±|h| there
+        scale = max(abs(hz), abs(hxy.real), abs(hxy.imag))
+        z, x, y = hz / scale, hxy.real / scale, hxy.imag / scale
+        h = np.array([[z, x - 1j * y], [x + 1j * y, -z]])
+        r = math.sqrt(abs(np.linalg.det(h)))
+        assert max_abs(h @ vw - vw * [r, -r]) < 1e-15
+    sg = validate_super_gram(kron(disk_gram(2.3791003711732256e-99, 0.5), disk_gram(2.3791003711732256e-99, 4.0)), 2)
+    _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-12), 1e-12)
+
+
 @pytest.mark.parametrize("seed", range(200))
 @pytest.mark.parametrize("radius", [1.0, 0.9, 0.6, 0.3])
 def test_pricing_is_exact_on_product_residuals(seed, radius):

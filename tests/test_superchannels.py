@@ -16,23 +16,27 @@ from dephkit import (
     controlled_unitary_family,
     gram_from_controlled_unitaries,
     gram_from_simulation,
-    identity_channel,
-    identity_super_gram,
     jamiolkowski,
-    maximally_dephasing_channel,
     random_channel,
     random_controlled_family,
-    random_density_matrix,
     random_super_gram,
     validate_super_gram,
     verify_dephasing_realization,
     verify_simulation_consistency,
 )
-from dephkit.linalg import basis_matrix, basis_vector, kron, max_abs, partial_trace, random_unitary
+from dephkit.linalg import basis_matrix, basis_vector, kron, max_abs, measure, partial_trace, random_unitary
 from dephkit import superchannels
 from dephkit.superchannels import simulation_tensor
 from dephkit.memory import nmr_experimental_gram
-from reference import identity_bipartite, is_psd, marginal_grams
+from reference import (
+    identity_bipartite,
+    identity_channel,
+    identity_super_gram,
+    is_psd,
+    marginal_grams,
+    maximally_dephasing_channel,
+    random_density_matrix,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -117,7 +121,7 @@ def test_apply_super_preserves_classical_action(d, n):
         ch = random_channel(d, 2, seed + 1000)
         out = apply_super(sg, ch)
         assert max_abs(classical_action(out) - classical_action(ch)) < 1e-9
-        assert max_abs(out.kraus_sum() - np.eye(d)) < 1e-9
+        assert measure(out.kraus, ("trace-preserving",))["trace-preserving"] < 1e-9
         assert is_psd(jamiolkowski(out), tol=1e-9)
 
 
@@ -133,7 +137,7 @@ def _dented_super_gram():
 
 def test_apply_super_checks_tp_at_the_callers_tol():
     out = apply_super(_dented_super_gram(), random_channel(2, 2, 5), tol=1e-6)
-    assert max_abs(out.kraus_sum() - np.eye(2)) < 1e-6
+    assert measure(out.kraus, ("trace-preserving",))["trace-preserving"] < 1e-6
 
 
 def test_apply_super_tp_defect_above_tol_is_named():
