@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands wrap the library operations over a JSON wire format. Exit codes
+Subcommands wrap the library operations over a JSON wire format. Each
+command returns a Report of ``Check`` records, which main prints. Exit codes
 are a stable contract: 0 for pass/value results, 1 for domain failures
-(invalid matrices, failed verifications), 2 for I/O or parse failures.
+(a failed check, or an error from the library), 2 for I/O or parse failures.
 The DEPHKIT_TOL environment variable overrides the default tolerance; a
 tolerance that is not a finite nonnegative number is a parse failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import bloch, channels, io, memory, superchannels
 from .errors import DephkitError, NotDephasingRealizationError, ValidationError
 from .io import FileFormatError
-from .linalg import DEFAULT_TOL, max_abs, measure, violation
+from .linalg import DEFAULT_TOL, Check, max_abs, measure
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,21 +41,34 @@ def _tolerance(text: str) -> float:
 
 @dataclass
 class Report:
-    """Human- and machine-readable outcome of one command."""
+    """Human- and machine-readable outcome of one command: its checks, in the order made.
 
-    verdict: str  # "pass" | "fail" | "value"
-    details: list[dict] = field(default_factory=list)
+    A check with a threshold decides the verdict; one without is a fact.
+    ``verdict`` is "fail" once any check fails, and otherwise ``kind``:
+    "pass" for a command that checks its input, "value" for one that
+    computes a value.
+    """
+
+    kind: str = "pass"
+    checks: list[Check] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
     value: float | None = None
 
-    def add(self, check: str, value, threshold=None) -> None:
-        self.details.append({"check": check, "value": value, "threshold": threshold})
+    @property
+    def verdict(self) -> str:
+        return "fail" if any(not c.passed for c in self.checks) else self.kind
+
+    def add(self, name: str, value, threshold: float | None = None) -> None:
+        self.checks.append(Check(name, value, threshold))
 
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
             "value": self.value,
-            "details": self.details,
+            "details": [
+                {"check": c.name, "value": c.value, "threshold": c.threshold, "detail": c.detail}
+                for c in self.checks
+            ],
             "provenance": self.provenance,
         }
 
@@ -62,21 +76,14 @@ class Report:
         lines = [f"verdict: {self.verdict}"]
         if self.value is not None:
             lines.append(f"value: {self.value!r}")
-        for det in self.details:
-            thr = "" if det["threshold"] is None else f"  (threshold {det['threshold']:g})"
-            val = det["value"]
-            val_s = f"{val:.12g}" if isinstance(val, float) else str(val)
-            lines.append(f"  {det['check']}: {val_s}{thr}")
+        for c in self.checks:
+            val = f"{c.value:.12g}" if isinstance(c.value, float) else str(c.value)
+            thr = "" if c.threshold is None else f"  (threshold {c.threshold:g})"
+            detail = f"  [{c.detail}]" if c.detail else ""
+            lines.append(f"  {c.name}: {val}{thr}{detail}")
         for name, digest in self.provenance.items():
             lines.append(f"  input {name}: sha256 {digest[:16]}...")
         return "\n".join(lines)
-
-
-def _emit(report: Report, args) -> None:
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=1))
-    else:
-        print(report.render())
 
 
 def _provenance(*paths) -> dict[str, str]:
@@ -90,19 +97,9 @@ def _side_to_d(side: int) -> int:
     return d
 
 
-_GRAM_LABELS = {
-    "unit-diagonal": "unit diagonal deviation (Gram matrix)",
-    "hermitian": "hermiticity deviation (Gram matrix)",
-    "psd": "smallest eigenvalue (positive semidefiniteness)",
-    "equal-diagonal-blocks": "repeated diagonal block deviation (superchannel structure)",
-}
-
-
-def _add_gram_lines(report: Report, deviations, tol: float) -> None:
-    """One detail line per Gram invariant; the psd line shows the smallest eigenvalue against -tol."""
-    for check, value in deviations.items():
-        sign = -1 if check == "psd" else 1
-        report.add(_GRAM_LABELS[check], sign * value, sign * tol)
+def _gram_checks(deviations, tol: float) -> list[Check]:
+    """One check per Gram invariant, under its stable name; psd reads -λ_min."""
+    return [Check(name, value, tol) for name, value in deviations.items()]
 
 
 def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
@@ -110,32 +107,25 @@ def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
     return superchannels.validate_super_gram(mat, _side_to_d(mat.shape[0]), tol=tol)
 
 
-def cmd_gram_validate(args) -> int:
+def cmd_gram_validate(args) -> Report:
     mat = io.read_matrix(args.file)
     _side_to_d(mat.shape[0])  # the block check needs a side of d^2
     deviations = measure(mat, superchannels.SUPER_GRAM_CHECKS)
-    ok = violation(deviations, args.tol) is None
-    report = Report(verdict="pass" if ok else "fail", provenance=_provenance(args.file))
-    _add_gram_lines(report, deviations, args.tol)
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return Report(checks=_gram_checks(deviations, args.tol), provenance=_provenance(args.file))
 
 
-def cmd_gram_from_unitaries(args) -> int:
-    report = Report(verdict="pass", provenance=_provenance(args.file))
+def cmd_gram_from_unitaries(args) -> Report:
+    report = Report(provenance=_provenance(args.file))
     try:
         pre, post = io.read_family_pair(args.file, tol=args.tol)
         sg = superchannels.gram_from_controlled_unitaries(pre, post, tol=args.tol)
     except ValidationError as exc:
-        report.verdict = "fail"
-        report.add(f"violated invariant: {exc.check}", exc.value, args.tol)
-        _emit(report, args)
-        return EXIT_DOMAIN
-    _add_gram_lines(report, sg.deviations, args.tol)
+        report.add(exc.check, exc.value, args.tol)
+        return report
+    report.checks += _gram_checks(sg.deviations, args.tol)
     if args.out:
         io.write_matrix(args.out, sg.mat)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
 def _read_triple(args):
@@ -145,74 +135,61 @@ def _read_triple(args):
     return enc, dec, io.read_matrix(args.tau)
 
 
-def cmd_gram_from_simulation(args) -> int:
+def cmd_gram_from_simulation(args) -> Report:
     enc, dec, tau = _read_triple(args)
-    report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
+    report = Report(provenance=_provenance(args.enc, args.dec, args.tau))
     try:
         sg = superchannels.gram_from_simulation(enc, dec, tau, tol=args.tol)
     except NotDephasingRealizationError as exc:
-        report.verdict = "fail"
-        for check in exc.report.failed_checks() if exc.report else ():
-            report.add(f"violated realization condition: {check.name}", check.max_violation, args.tol)
-        _emit(report, args)
-        return EXIT_DOMAIN
-    _add_gram_lines(report, sg.deviations, args.tol)
+        report.checks += exc.report.failed_checks()
+        return report
+    report.checks += _gram_checks(sg.deviations, args.tol)
     if args.out:
         io.write_matrix(args.out, sg.mat)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> Report:
     ch = io.read_channel(args.channel, tol=args.tol)
     sg = _read_super_gram(args.gram, args.tol)
     out_ch = superchannels.apply_super(sg, ch, tol=args.tol)
     residual = max_abs(
         channels.classical_action(out_ch, tol=args.tol) - channels.classical_action(ch, tol=args.tol)
     )
-    report = Report(verdict="pass", provenance=_provenance(args.channel, args.gram))
+    report = Report(provenance=_provenance(args.channel, args.gram))
     report.add("classical action invariance residual", residual, args.tol)
     report.add("coherence generating power before", channels.coherence_generating_power(ch))
     report.add("coherence generating power after", channels.coherence_generating_power(out_ch))
     if args.out:
         io.write_matrix(args.out, channels.jamiolkowski(out_ch))
-    ok = residual <= args.tol
-    report.verdict = "pass" if ok else "fail"
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return report
 
 
-def cmd_verify_realization(args) -> int:
+def cmd_verify_realization(args) -> Report:
     enc, dec, tau = _read_triple(args)
-    report = Report(verdict="pass", provenance=_provenance(args.enc, args.dec, args.tau))
     result = superchannels.verify_dephasing_realization(enc, dec, tau, tol=args.tol)
-    for check in result.checks:
-        report.add(f"realization condition: {check.name}", check.max_violation, args.tol)
-    report.verdict = "pass" if result.passed else "fail"
     if result.passed and args.out:
         io.write_matrix(args.out, result.gram_entries)
-    _emit(report, args)
-    return EXIT_OK if result.passed else EXIT_DOMAIN
+    return Report(checks=list(result.checks), provenance=_provenance(args.enc, args.dec, args.tau))
 
 
-def cmd_memory_activity(args) -> int:
+def cmd_memory_activity(args) -> Report:
     sg = _read_super_gram(args.file, args.tol)
     activity = memory.memory_activity_qubit(sg)
-    report = Report(verdict="value", value=activity, provenance=_provenance(args.file))
+    report = Report(kind="value", value=activity, provenance=_provenance(args.file))
     report.add("memory activity (l1 distance to the passive set)", activity)
     report.add("passive compatible (constant block diagonals)", memory.is_passive_compatible(sg, args.tol))
     if args.out:
         nearest = memory.nearest_passive_qubit(sg, tol=args.tol)
         io.write_matrix(args.out, nearest.mat)
         report.add("nearest passive matrix distance", memory.l1_distance(sg.mat, nearest.mat))
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_memory_decompose(args) -> int:
+def cmd_memory_decompose(args) -> Report:
     sg = _read_super_gram(args.file, args.tol)
     dec = memory.decompose_product_qubit(sg, tol=args.tol)
-    report = Report(verdict="pass", provenance=_provenance(args.file))
+    report = Report(provenance=_provenance(args.file))
     report.add("reconstruction residual (product mixture)", dec.residual, args.tol)
     report.add("term count", len(dec.terms))
     report.add("total weight", dec.total_weight(), None)
@@ -230,11 +207,10 @@ def cmd_memory_decompose(args) -> int:
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_ppt(args) -> int:
+def cmd_ppt(args) -> Report:
     mat = io.read_matrix(args.file)
     if args.dims:
         dims = tuple(args.dims)
@@ -242,16 +218,15 @@ def cmd_ppt(args) -> int:
         d = _side_to_d(mat.shape[0])
         dims = (d, d)
     value = memory.ppt_min_eig(mat, dims, tol=args.tol)
-    report = Report(verdict="value", value=value, provenance=_provenance(args.file))
+    report = Report(kind="value", value=value, provenance=_provenance(args.file))
     report.add("partial transpose smallest eigenvalue (separability test)", value)
     report.add("entangled (negative certifies)", bool(value < -args.tol))
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> Report:
     sg = memory.family_gram(args.alpha, args.beta, tol=args.tol)
-    report = Report(verdict="pass")
+    report = Report()
     report.add("alpha", str(args.alpha))
     report.add("beta", str(args.beta))
     if args.ppt:
@@ -260,27 +235,21 @@ def cmd_family(args) -> int:
         report.add("partial transpose smallest eigenvalue", measured)
         report.add("closed form 1 - sqrt(|a|^2+|b|^2)", closed)
         report.add("closed-form residual", abs(measured - closed), args.tol)
-        if abs(measured - closed) > args.tol:
-            report.verdict = "fail"
     if args.realize:
         pre, post = memory.family_realization(args.alpha, args.beta, tol=args.tol)
         recon = superchannels.gram_from_controlled_unitaries(pre, post, tol=args.tol)
-        residual = max_abs(recon.mat - sg.mat)
-        report.add("controlled-unitary round-trip residual", residual, args.tol)
-        if residual > args.tol:
-            report.verdict = "fail"
+        report.add("controlled-unitary round-trip residual", max_abs(recon.mat - sg.mat), args.tol)
         if args.out:
             io.write_family_pair(args.out, pre, post)
     elif args.out:
         io.write_matrix(args.out, sg.mat)
-    _emit(report, args)
-    return EXIT_OK if report.verdict == "pass" else EXIT_DOMAIN
+    return report
 
 
-def cmd_bloch_affine(args) -> int:
+def cmd_bloch_affine(args) -> Report:
     ch = io.read_channel(args.channel, tol=args.tol)
     aff = bloch.affine_from_channel(ch)
-    report = Report(verdict="pass", provenance=_provenance(args.channel))
+    report = Report(provenance=_provenance(args.channel))
     report.add("distortion matrix rows", [[round(x, 12) for x in row] for row in aff.lam.tolist()])
     report.add("translation vector", [round(x, 12) for x in aff.t.tolist()])
     report.add("distortion is a contraction", aff.is_contraction())
@@ -288,24 +257,20 @@ def cmd_bloch_affine(args) -> int:
         obj = {"lambda": io.matrix_to_obj(aff.lam.astype(complex)), "t": list(aff.t)}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_demo_nmr(args) -> int:
+def cmd_demo_nmr(args) -> Report:
     sg = memory.nmr_experimental_gram()
-    report = Report(verdict="value")
-    _add_gram_lines(report, sg.deviations, memory.NMR_VALIDATION_TOL)
     activity = memory.memory_activity_qubit(sg)
-    report.value = activity
+    report = Report(kind="value", checks=_gram_checks(sg.deviations, memory.NMR_VALIDATION_TOL), value=activity)
     report.add("memory activity (l1 distance to the passive set)", activity)
     report.add("passive compatible (constant block diagonals)", memory.is_passive_compatible(sg, args.tol))
     nearest = memory.nearest_passive_qubit(sg, tol=memory.NMR_VALIDATION_TOL)
     report.add("distance to nearest passive matrix", memory.l1_distance(sg.mat, nearest.mat))
     if args.out:
         io.write_matrix(args.out, sg.mat)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,13 +347,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DephkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    print(json.dumps(report.to_json(), indent=1) if args.as_json else report.render())
+    return EXIT_DOMAIN if report.verdict == "fail" else EXIT_OK
 
 
 def entry() -> None:

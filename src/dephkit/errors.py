@@ -30,7 +30,7 @@ class NotDephasingRealizationError(DephkitError):
     Carries the diagnostic report so callers can see which condition failed.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 

@@ -36,20 +36,31 @@ def matrix_to_obj(mat: np.ndarray) -> dict:
     }
 
 
+def _dimension(obj, key: str) -> int:
+    """Field ``key`` of obj as a nonnegative integer; an integral float such as 4.0 reads as 4.
+
+    A bool, a non-number, a fractional or non-finite number and a negative
+    number are refused rather than truncated.
+    """
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise FileFormatError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        if rows < 0 or cols < 0:
-            raise FileFormatError(f"negative matrix dimensions rows = {rows}, cols = {cols}")
+        rows, cols = _dimension(obj, "rows"), _dimension(obj, "cols")
         data = obj["data"]
         if len(data) != rows * cols:
             raise FileFormatError(f"data length {len(data)} != rows*cols = {rows * cols}")
-        flat = np.array([complex(re, im) for re, im in data])
+        mat = np.array([complex(re, im) for re, im in data]).reshape(rows, cols)
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed matrix object: {exc}") from exc
-    mat = flat.reshape(rows, cols)
     if not np.isfinite(mat).all():
         raise FileFormatError("matrix contains non-finite entries")
     return mat
@@ -142,9 +153,9 @@ def write_bipartite(path, bc: BipartiteChannel) -> None:
 def read_bipartite(path, tol: float = DEFAULT_TOL) -> BipartiteChannel:
     obj = _load_json(path)
     try:
-        dims = (int(obj["sys_in"]), int(obj["mem_in"]), int(obj["sys_out"]), int(obj["mem_out"]))
+        dims = tuple(_dimension(obj, key) for key in ("sys_in", "mem_in", "sys_out", "mem_out"))
         ops = [matrix_from_obj(k) for k in obj["kraus"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed bipartite channel file: {exc}") from exc
     return bipartite_channel(ops, dims, tol=tol)
 

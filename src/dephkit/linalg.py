@@ -9,6 +9,7 @@ package: the pair ``(a, b)`` with ``b`` ranging over ``dim_b`` maps to
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from math import isqrt
 from typing import Literal
 
@@ -205,6 +206,25 @@ def violation(deviations: Mapping[str, float], tol: float, subject: str = "matri
         if not value <= tol:
             return ValidationError(name, f"{subject}: {_CHECKS[name][1]} {value:.3e} > {tol:.3e}", value)
     return None
+
+
+@dataclass(frozen=True)
+class Check:
+    """One line of a verdict: a named value against its threshold, or a fact with none.
+
+    A check with a threshold passes when value <= threshold, so a NaN fails; a
+    fact (threshold None) always passes. The realization engine and the CLI
+    pass these records unchanged, and ``name`` is the stable check name.
+    """
+
+    name: str
+    value: object
+    threshold: float | None = None
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.threshold is None or bool(self.value <= self.threshold)
 
 
 def require(x, checks: Iterable[str], tol: float, subject: str = "matrix") -> dict[str, float]:

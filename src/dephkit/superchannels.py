@@ -73,6 +73,7 @@ from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, ja
 from .errors import DimensionError, NotDephasingRealizationError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     as_complex_matrix,
     basis_matrix,
     basis_vector,
@@ -334,14 +335,6 @@ def verify_simulation_consistency(
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    max_violation: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class RealizationReport:
     """Outcome of the dephasing-realization verification.
 
@@ -349,6 +342,8 @@ class RealizationReport:
     the shared memory state; the decoder must act as a dephasing channel for
     each conditional memory state sigma_m; and the extracted marginal Gram
     matrices must match the blocks of the superchannel's Gram matrix.
+    Each check is a ``Check`` of its measured value against tol, and
+    ``passed`` is derived from those records.
     ``gram_deviations`` holds the deviation of ``gram_entries`` from each of
     SUPER_GRAM_CHECKS; the gram-structure check reads the first above tol.
     The decoder check's detail names the lowest memory level m whose violation
@@ -368,7 +363,7 @@ class RealizationReport:
     the bound (at eps = 1e-4, 5e-9 against 7e-5).
     """
 
-    checks: tuple[ConditionCheck, ...]
+    checks: tuple[Check, ...]
     c_en: np.ndarray = field(repr=False)
     c_de: tuple[np.ndarray, ...] = field(repr=False)
     sigma: tuple[np.ndarray, ...] = field(repr=False)
@@ -379,7 +374,7 @@ class RealizationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed_checks(self) -> tuple[ConditionCheck, ...]:
+    def failed_checks(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
 
@@ -434,21 +429,24 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
     exc = violation(gram_deviations, tol, "extracted Gram matrix")
     gram_violation, gram_detail = (0.0, "") if exc is None else (exc.value, f"{exc.check}: {exc}")
 
-    conditions = [
-        ("encoder-dephasing", enc_violation, "encoder must act on the system as a dephasing channel"),
-        ("decoder-dephasing", dec_violation,
-         dec_detail or "decoder must dephase the system for every conditional memory state"),
-        ("marginal-consistency", marg_violation,
-         "diagonal block and per-level block diagonals must match the extracted marginals"),
-        ("gram-structure", gram_violation, gram_detail or "extracted matrix satisfies the superchannel Gram invariants"),
+    checks = [
+        Check("encoder-dephasing", enc_violation, tol, "encoder must act on the system as a dephasing channel"),
+        Check("decoder-dephasing", dec_violation, tol,
+              dec_detail or "decoder must dephase the system for every conditional memory state"),
+        Check("marginal-consistency", marg_violation, tol,
+              "diagonal block and per-level block diagonals must match the extracted marginals"),
+        Check("gram-structure", gram_violation, tol,
+              gram_detail or "extracted matrix satisfies the superchannel Gram invariants"),
     ]
-    if all(value <= tol for _, value, _ in conditions):
+    if all(c.passed for c in checks):
         # mismatch <= sqrt((1 + tol) v), so v == 0 gives 0.0 without R (module docstring)
         v = max(enc_violation, dec_violation)
         mismatch = 0.0 if v == 0.0 else _audit(_tensor(*_superoperators(x, b)), d)[1]
-        conditions.append(("simulation-mismatch", mismatch, "simulation tensor must vanish off the matched index tuples"))
+        checks.append(
+            Check("simulation-mismatch", mismatch, tol, "simulation tensor must vanish off the matched index tuples")
+        )
     return RealizationReport(
-        checks=tuple(ConditionCheck(name, value <= tol, value, detail) for name, value, detail in conditions),
+        checks=tuple(checks),
         c_en=c_en,
         c_de=tuple(c_de),
         sigma=tuple(sigma),

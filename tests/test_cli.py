@@ -89,7 +89,7 @@ def test_gram_validate_bad_diagonal(capsys, tmp_path):
     code, report = run_json(capsys, "gram-validate", path)
     assert code == 1
     assert report["verdict"] == "fail"
-    diag = next(d for d in report["details"] if "unit diagonal" in d["check"])
+    diag = next(d for d in report["details"] if d["check"] == "unit-diagonal")
     assert diag["value"] > diag["threshold"]
 
 
@@ -316,12 +316,8 @@ def test_gram_from_unitaries(capsys, tmp_path, cmax_families):
 
 
 def lines_pass(report):
-    """Whether every detail line with a threshold meets it; the eigenvalue line is held from below."""
-    return all(
-        det["value"] >= det["threshold"] if "smallest eigenvalue" in det["check"] else det["value"] <= det["threshold"]
-        for det in report["details"]
-        if det["threshold"] is not None
-    )
+    """Whether every detail line with a threshold meets it."""
+    return all(det["value"] <= det["threshold"] for det in report["details"] if det["threshold"] is not None)
 
 
 @pytest.mark.parametrize("tol,code", [(None, 0), ("0", 1)])
@@ -351,6 +347,102 @@ def test_gram_verdicts_agree_with_their_lines(capsys, tmp_path, realization_file
         code, report = run_json(capsys, *argv, "--tol", tol)
         assert report["verdict"] == ("pass" if code == 0 else "fail")
         assert lines_pass(report) == (code == 0), argv
+
+
+def _contract_argv(tmp_path, cmax_file, realization_files, cmax_families):
+    """argv of one passing and, where the command can fail, one failing run of each subcommand."""
+    enc, dec, tau = realization_files
+    names = ("bad-gram", "product", "fam", "qr-fam", "hadamard", "channel")
+    paths = {name: tmp_path / f"{name}.json" for name in names}
+    bad = np.eye(4, dtype=complex)
+    bad[0, 0] = 1.5
+    write_matrix(paths["bad-gram"], bad)
+    c = np.array([[1, 0.5], [0.5, 1]], dtype=complex)
+    write_matrix(paths["product"], kron(c, c))
+    write_family_pair(paths["fam"], *cmax_families)
+    write_family_pair(paths["qr-fam"], random_controlled_family(2, 1), random_controlled_family(2, 2))
+    write_bipartite(paths["hadamard"], bipartite_channel([kron(HADAMARD, np.eye(4))], (2, 4, 2, 4)))
+    write_channel(paths["channel"], random_channel(2, 3, seed=9))
+    return {
+        "gram-validate-pass": ["gram-validate", cmax_file],
+        "gram-validate-fail": ["gram-validate", paths["bad-gram"]],
+        "gram-from-unitaries-pass": ["gram-from-unitaries", paths["fam"]],
+        "gram-from-unitaries-fail": ["gram-from-unitaries", paths["qr-fam"], "--tol", "0"],
+        "gram-from-simulation-pass": ["gram-from-simulation", enc, dec, tau],
+        "gram-from-simulation-fail": ["gram-from-simulation", paths["hadamard"], dec, tau],
+        "verify-realization-pass": ["verify-realization", enc, dec, tau],
+        "verify-realization-fail": ["verify-realization", enc, paths["hadamard"], tau],
+        "apply-pass": ["apply", paths["channel"], cmax_file],
+        "memory-activity-value": ["memory-activity", cmax_file],
+        "memory-decompose-pass": ["memory-decompose", paths["product"]],
+        "ppt-value": ["ppt", cmax_file],
+        "family-pass": ["family", "--alpha", "0.8", "--beta", "0.3", "--ppt", "--realize"],
+        "family-fail": ["family", "--alpha", "0.8", "--beta", "0.3j", "--ppt", "--tol", "0"],
+        "bloch-affine-pass": ["bloch-affine", paths["channel"]],
+        "demo-nmr-value": ["demo-nmr"],
+    }
+
+
+CONTRACT_CASES = [
+    "gram-validate-pass", "gram-validate-fail", "gram-from-unitaries-pass", "gram-from-unitaries-fail",
+    "gram-from-simulation-pass", "gram-from-simulation-fail", "verify-realization-pass", "verify-realization-fail",
+    "apply-pass", "memory-activity-value", "memory-decompose-pass", "ppt-value", "family-pass", "family-fail",
+    "bloch-affine-pass", "demo-nmr-value",
+]
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_exit_code_verdict_and_lines_agree(capsys, tmp_path, cmax_file, realization_files, cmax_families, case):
+    # exit 1 <=> verdict "fail" <=> some line with a threshold has not value <= threshold
+    argv = _contract_argv(tmp_path, cmax_file, realization_files, cmax_families)[case]
+    code, report = run_json(capsys, *argv)
+    failed = [d for d in report["details"] if d["threshold"] is not None and not d["value"] <= d["threshold"]]
+    assert report["verdict"] == case.rsplit("-", 1)[1]
+    assert (code == 1) == (report["verdict"] == "fail") == bool(failed), report
+    assert code in (0, 1)
+    assert all(set(d) == {"check", "value", "threshold", "detail"} for d in report["details"])
+
+
+def test_decoder_check_names_its_worst_memory_index(capsys, tmp_path, realization_files):
+    enc, _, tau = realization_files
+    dec = tmp_path / "hadamard.json"
+    write_bipartite(dec, bipartite_channel([kron(HADAMARD, np.eye(4))], (2, 4, 2, 4)))
+    code, report = run_json(capsys, "verify-realization", enc, dec, tau)
+    assert code == 1
+    check = next(d for d in report["details"] if d["check"] == "decoder-dephasing")
+    assert check["value"] > check["threshold"]
+    assert check["detail"].startswith("worst conditional memory index m=")
+
+
+def test_psd_line_shows_the_deviation_against_tol(capsys, cmax_file):
+    code, report = run_json(capsys, "gram-validate", cmax_file, "--tol", "1e-6")
+    psd = next(d for d in report["details"] if d["check"] == "psd")
+    assert code == 0
+    assert psd["threshold"] == 1e-6
+    assert psd["value"] == pytest.approx(-np.linalg.eigvalsh(CMAX)[0], abs=1e-12)
+    code, out = run(capsys, "gram-validate", cmax_file)
+    assert "\n  unit-diagonal: " in out and "\n  psd: " in out
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"rows": 2.5, "cols": 2}, {"rows": True, "cols": 4}],
+    ids=["fraction", "bool"],
+)
+def test_matrix_dimension_that_int_would_truncate_is_a_parse_error(capsys, tmp_path, obj):
+    path = tmp_path / "dimensions.json"
+    path.write_text(json.dumps({**obj, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    _assert_parse_error(capsys, ["gram-validate", path])
+
+
+def test_bipartite_dimension_that_int_would_truncate_is_a_parse_error(capsys, tmp_path):
+    # read as sys_in = 2, the 4x4 identity passes as a realization and exits 0
+    ident, tau = tmp_path / "ident.json", tmp_path / "tau.json"
+    write_bipartite(ident, bipartite_channel([np.eye(4)], (2, 2, 2, 2)))
+    write_matrix(tau, np.diag([1.0, 0.0]))
+    enc = tmp_path / "enc.json"
+    enc.write_text(json.dumps({**json.loads(ident.read_text()), "sys_in": 2.7}))
+    _assert_parse_error(capsys, ["verify-realization", enc, ident, tau])
 
 
 def test_simulation_reads_encoders_at_the_tol_flag(capsys, realization_files, tmp_path):
@@ -405,12 +497,12 @@ def test_audit_only_reject_names_its_check(capsys, tmp_path):
     code, report = run_json(capsys, "gram-from-simulation", *paths)
     assert code == 1
     assert report["verdict"] == "fail"
-    assert [d["check"] for d in report["details"]] == ["violated realization condition: simulation-mismatch"]
+    assert [d["check"] for d in report["details"]] == ["simulation-mismatch"]
     code, report = run_json(capsys, "verify-realization", *paths)
     assert code == 1
     assert report["verdict"] == "fail"
     mismatch = report["details"][-1]
-    assert mismatch["check"] == "realization condition: simulation-mismatch"
+    assert mismatch["check"] == "simulation-mismatch"
     assert mismatch["value"] > mismatch["threshold"]
 
 

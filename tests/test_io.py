@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,37 @@ def test_matrix_obj_validation():
     obj = matrix_to_obj(np.eye(2))
     assert obj["rows"] == obj["cols"] == 2
     assert obj["data"][0] == [1.0, 0.0]
+
+
+FOUR_ENTRIES = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(True, 4), ("2", 2), (None, 2), ([2], 2), (2.5, 2), (float("inf"), 0), (float("nan"), 2), (-2, -2), (2, -2.0)],
+    ids=["bool", "string", "null", "list", "fraction", "infinity", "nan", "negative", "negative-float"],
+)
+def test_matrix_dimension_that_is_not_a_nonnegative_integer_is_refused(rows, cols):
+    # int() would read 2.5 as 2 and True as 1, and both products match the data length
+    with pytest.raises(FileFormatError, match="must be a nonnegative integer"):
+        matrix_from_obj({"rows": rows, "cols": cols, "data": FOUR_ENTRIES})
+
+
+def test_integral_float_dimension_reads_as_an_integer():
+    mat = matrix_from_obj({"rows": 2.0, "cols": 2, "data": FOUR_ENTRIES})
+    assert np.array_equal(mat, np.eye(2))
+
+
+@pytest.mark.parametrize("value", [2.7, True, "2", -2], ids=["fraction", "bool", "string", "negative"])
+def test_bipartite_dimension_that_is_not_a_nonnegative_integer_is_refused(tmp_path, value):
+    # read as sys_in = 2, the 4x4 identity would be a valid realization
+    path = tmp_path / "enc.json"
+    write_bipartite(path, bipartite_channel([np.eye(4)], (2, 2, 2, 2)))
+    obj = json.loads(path.read_text())
+    obj["sys_in"] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match="sys_in must be a nonnegative integer"):
+        read_bipartite(path)
 
 
 def test_read_matrix_parse_error(tmp_path):

@@ -13,7 +13,7 @@ from dephkit import (
     partial_transpose,
     reshuffle,
 )
-from dephkit.linalg import basis_matrix, basis_vector, max_abs, psd_factors
+from dephkit.linalg import Check, basis_matrix, basis_vector, max_abs, psd_factors
 from dephkit.memory import family_gram
 from reference import is_psd, schur
 
@@ -218,3 +218,9 @@ def test_gram_of_vectors_is_psd(d, seed):
     vecs = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gram = vecs.conj().T @ vecs
     assert min_eig_hermitian(gram) >= -1e-10
+
+
+def test_check_with_a_nan_value_fails_and_a_fact_passes():
+    assert Check("unit-diagonal", float("nan"), 1e-9).passed is False
+    assert Check("unit-diagonal", 1e-9, 1e-9).passed is True
+    assert Check("distortion matrix rows", [1], None).passed is True

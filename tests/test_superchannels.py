@@ -622,7 +622,7 @@ def test_engine_matches_per_basis_reference(kind, d):
     report = verify_dephasing_realization(enc, dec, tau)
     assert [(c.name, c.passed) for c in report.checks] == [(n, p) for n, p, _ in ref["checks"]]
     for check, (_, _, value) in zip(report.checks, ref["checks"]):
-        assert abs(check.max_violation - value) <= 1e-12, check.name
+        assert abs(check.value - value) <= 1e-12, check.name
     assert max_abs(report.c_en - ref["c_en"]) <= 1e-12
     for m in range(d):
         assert max_abs(report.sigma[m] - ref["sigma"][m]) <= 1e-12
@@ -654,7 +654,7 @@ def test_gram_structure_uses_callers_tol():
     tau = np.ones((1, 1), dtype=complex)
     with pytest.raises(NotDephasingRealizationError) as err:
         gram_from_simulation(noisy, noisy, tau, tol=1e-9)
-    failed = {c.name: c.max_violation for c in err.value.report.failed_checks()}
+    failed = {c.name: c.value for c in err.value.report.failed_checks()}
     assert set(failed) == {"gram-structure"}
     assert failed["gram-structure"] == pytest.approx(1.8e-9, rel=1e-6)
     assert max_abs(np.diag(gram_from_simulation(noisy, noisy, tau, tol=1e-8).mat) - 1) > 1e-9
@@ -684,8 +684,8 @@ def test_audit_only_reject_is_one_verdict():
     assert not report.passed
     (failed,) = report.failed_checks()
     assert failed.name == "simulation-mismatch"
-    assert failed.max_violation == verify_simulation_consistency(enc, dec, tau).max_mismatch
-    assert failed.max_violation == pytest.approx(3e-5 / np.sqrt(2), rel=1e-6)
+    assert failed.value == verify_simulation_consistency(enc, dec, tau).max_mismatch
+    assert failed.value == pytest.approx(3e-5 / np.sqrt(2), rel=1e-6)
     with pytest.raises(NotDephasingRealizationError, match="simulation-mismatch") as err:
         gram_from_simulation(enc, dec, tau, tol=1e-9)
     assert err.value.report.checks == report.checks
@@ -695,11 +695,11 @@ def test_audit_only_reject_is_one_verdict():
 def test_checks_grow_as_eps_squared_and_the_mismatch_as_eps(eps):
     enc, dec, tau = audit_only_triple(eps)
     *checks, mismatch = verify_dephasing_realization(enc, dec, tau, tol=np.inf).checks
-    assert max(c.max_violation for c in checks) == pytest.approx(eps**2 / 2, rel=1e-3)
+    assert max(c.value for c in checks) == pytest.approx(eps**2 / 2, rel=1e-3)
     assert mismatch.name == "simulation-mismatch"
-    assert mismatch.max_violation == pytest.approx(eps / np.sqrt(2), rel=1e-3)
-    v = max(checks[0].max_violation, checks[1].max_violation)
-    assert mismatch.max_violation == pytest.approx(np.sqrt(v), rel=1e-9)  # the bound is tight
+    assert mismatch.value == pytest.approx(eps / np.sqrt(2), rel=1e-3)
+    v = max(checks[0].value, checks[1].value)
+    assert mismatch.value == pytest.approx(np.sqrt(v), rel=1e-9)  # the bound is tight
 
 
 @pytest.mark.parametrize("kind", BROKEN_KINDS)
@@ -733,9 +733,9 @@ def test_controlled_accept_builds_no_superoperator(d, kind, monkeypatch):
     enc, dec, tau = realization_triple(kind, d)
     report = verify_dephasing_realization(enc, dec, tau)
     assert report.passed
-    assert report.checks[0].max_violation == report.checks[1].max_violation == 0.0
+    assert report.checks[0].value == report.checks[1].value == 0.0
     assert report.checks[-1].name == "simulation-mismatch"
-    assert report.checks[-1].max_violation == 0.0
+    assert report.checks[-1].value == 0.0
     gram_from_simulation(enc, dec, tau)
 
 
@@ -777,11 +777,11 @@ def test_triple_that_is_not_system_controlled_builds_the_tensor(make, passed, mo
     enc, dec, tau = make()
     report = verify_dephasing_realization(enc, dec, tau)
     assert built == [True]
-    assert max(report.checks[0].max_violation, report.checks[1].max_violation) > 0.0
+    assert max(report.checks[0].value, report.checks[1].value) > 0.0
     assert report.passed == passed
     mismatch = report.checks[-1]
     assert mismatch.name == "simulation-mismatch"
-    assert mismatch.max_violation == verify_simulation_consistency(enc, dec, tau).max_mismatch
+    assert mismatch.value == verify_simulation_consistency(enc, dec, tau).max_mismatch
 
 
 @settings(max_examples=40, deadline=None)
@@ -804,8 +804,8 @@ def test_mismatch_obeys_the_leakage_bound(seed, d, mems, rank, tau_rank):
     tau /= np.trace(tau)
     enc_check, dec_check, *_, mismatch = verify_dephasing_realization(enc, dec, tau, tol=np.inf).checks
     assert mismatch.name == "simulation-mismatch"
-    v = max(enc_check.max_violation, dec_check.max_violation)
-    assert mismatch.max_violation <= np.sqrt((1 + 1e-9) * v)
+    v = max(enc_check.value, dec_check.value)
+    assert mismatch.value <= np.sqrt((1 + 1e-9) * v)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
