@@ -17,11 +17,8 @@ from .channels import (
     classical_action,
     coherence_generating_power,
     density_matrix,
-    dephasing_channel,
-    gram_matrix,
     jamiolkowski,
     l1_coherence,
-    max_entangled_state,
     random_channel,
     superop_from_kraus,
 )

@@ -2,9 +2,8 @@
 
 Channels are stored canonically as Kraus operator lists; the superoperator
 and Jamiolkowski representations are derived views, recomputed on demand.
-States, Gram matrices, channels and classical actions are validated at
-construction, against the checks of the linalg measure layer, and never
-silently repaired.
+States and channels are validated at construction, against the checks of
+the linalg measure layer, and never silently repaired.
 """
 
 from __future__ import annotations
@@ -34,25 +33,16 @@ def density_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     return rho
 
 
-def max_entangled_state(d: int) -> np.ndarray:
-    """Projector onto (1/sqrt(d)) sum_i |ii>."""
-    psi = np.zeros(d * d, dtype=complex)
-    psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return np.outer(psi, psi.conj())
-
-
 @dataclass(frozen=True)
 class Channel:
-    """A completely positive map stored as Kraus operators.
+    """A trace-preserving completely positive map stored as Kraus operators.
 
-    ``trace_preserving`` asserts sum_n K_n† K_n = I; it is checked at
-    construction, entrywise within ``tol``, when set.
+    sum_n K_n† K_n = I is checked at construction, entrywise within ``tol``.
     """
 
     kraus: tuple[np.ndarray, ...]
     dim_in: int
     dim_out: int
-    trace_preserving: bool = True
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
@@ -63,15 +53,14 @@ class Channel:
                 raise DimensionError(
                     f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
                 )
-        if self.trace_preserving:
-            require(self.kraus, ("trace-preserving",), tol, "channel")
+        require(self.kraus, ("trace-preserving",), tol, "channel")
 
 
-def channel_from_kraus(kraus, trace_preserving: bool = True, tol: float = DEFAULT_TOL) -> Channel:
-    """Build a Channel from an iterable of equal-shape Kraus matrices, TP within tol when asked."""
+def channel_from_kraus(kraus, tol: float = DEFAULT_TOL) -> Channel:
+    """Build a Channel from an iterable of equal-shape Kraus matrices, TP within tol."""
     ops = tuple(readonly_copy(as_complex_matrix(k)) for k in kraus)
     rows, cols = ops[0].shape if ops else (0, 0)  # Channel refuses an empty list
-    return Channel(kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=trace_preserving, tol=tol)
+    return Channel(kraus=ops, dim_in=cols, dim_out=rows, tol=tol)
 
 
 def superop_from_kraus(ch: Channel) -> np.ndarray:
@@ -127,29 +116,14 @@ class GramMatrix:
         return self.mat.shape[0]
 
 
-def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
-    """Validate a Gram matrix: PSD within tol with all diagonal entries 1 within tol."""
-    m = as_complex_matrix(mat)
-    require(m, ("unit-diagonal", "hermitian", "psd"), tol, "Gram matrix")
-    return GramMatrix(mat=readonly_copy(m))
-
-
-def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
-    """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†, TP within tol."""
-    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T], tol=tol)
-
-
-def classical_action(ch: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transition matrix T[i, j] = <i|E(|j><j|)|i> of a trace-preserving channel.
+def classical_action(ch: Channel) -> np.ndarray:
+    """Transition matrix T[i, j] = <i|E(|j><j|)|i> of a channel.
 
     Its entries are sums of squared moduli, so nonnegative; column j sums to
-    (sum K†K)[j, j]. A channel built trace-preserving was held to it then, on
-    its own scale; any other is checked here within tol.
+    (sum K†K)[j, j], which the channel was held to 1 at construction.
     """
     if ch.dim_in != ch.dim_out:
         raise DimensionError("classical action requires dim_in == dim_out")
-    if not ch.trace_preserving:
-        require(ch.kraus, ("trace-preserving",), tol, "channel")
     return sum(np.abs(k) ** 2 for k in ch.kraus)
 
 

@@ -97,11 +97,6 @@ def _side_to_d(side: int) -> int:
     return d
 
 
-def _gram_checks(deviations, tol: float) -> list[Check]:
-    """One check per Gram invariant, under its stable name; psd reads -λ_min."""
-    return [Check(name, value, tol) for name, value in deviations.items()]
-
-
 def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
     mat = io.read_matrix(path)
     return superchannels.validate_super_gram(mat, _side_to_d(mat.shape[0]), tol=tol)
@@ -110,8 +105,8 @@ def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
 def cmd_gram_validate(args) -> Report:
     mat = io.read_matrix(args.file)
     _side_to_d(mat.shape[0])  # the block check needs a side of d^2
-    deviations = measure(mat, superchannels.SUPER_GRAM_CHECKS)
-    return Report(checks=_gram_checks(deviations, args.tol), provenance=_provenance(args.file))
+    checks = measure(mat, superchannels.SUPER_GRAM_CHECKS, args.tol)
+    return Report(checks=list(checks), provenance=_provenance(args.file))
 
 
 def cmd_gram_from_unitaries(args) -> Report:
@@ -122,7 +117,7 @@ def cmd_gram_from_unitaries(args) -> Report:
     except ValidationError as exc:
         report.add(exc.check, exc.value, args.tol)
         return report
-    report.checks += _gram_checks(sg.deviations, args.tol)
+    report.checks += sg.checks
     if args.out:
         io.write_matrix(args.out, sg.mat)
     return report
@@ -143,7 +138,7 @@ def cmd_gram_from_simulation(args) -> Report:
     except NotDephasingRealizationError as exc:
         report.checks += exc.report.failed_checks()
         return report
-    report.checks += _gram_checks(sg.deviations, args.tol)
+    report.checks += sg.checks
     if args.out:
         io.write_matrix(args.out, sg.mat)
     return report
@@ -153,9 +148,7 @@ def cmd_apply(args) -> Report:
     ch = io.read_channel(args.channel, tol=args.tol)
     sg = _read_super_gram(args.gram, args.tol)
     out_ch = superchannels.apply_super(sg, ch, tol=args.tol)
-    residual = max_abs(
-        channels.classical_action(out_ch, tol=args.tol) - channels.classical_action(ch, tol=args.tol)
-    )
+    residual = max_abs(channels.classical_action(out_ch) - channels.classical_action(ch))
     report = Report(provenance=_provenance(args.channel, args.gram))
     report.add("classical action invariance residual", residual, args.tol)
     report.add("coherence generating power before", channels.coherence_generating_power(ch))
@@ -252,7 +245,7 @@ def cmd_bloch_affine(args) -> Report:
     report = Report(provenance=_provenance(args.channel))
     report.add("distortion matrix rows", [[round(x, 12) for x in row] for row in aff.lam.tolist()])
     report.add("translation vector", [round(x, 12) for x in aff.t.tolist()])
-    report.add("distortion is a contraction", aff.is_contraction())
+    report.add("distortion is a contraction", aff.is_contraction(args.tol))
     if args.out:
         obj = {"lambda": io.matrix_to_obj(aff.lam.astype(complex)), "t": list(aff.t)}
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -263,7 +256,7 @@ def cmd_bloch_affine(args) -> Report:
 def cmd_demo_nmr(args) -> Report:
     sg = memory.nmr_experimental_gram()
     activity = memory.memory_activity_qubit(sg)
-    report = Report(kind="value", checks=_gram_checks(sg.deviations, memory.NMR_VALIDATION_TOL), value=activity)
+    report = Report(kind="value", checks=list(sg.checks), value=activity)
     report.add("memory activity (l1 distance to the passive set)", activity)
     report.add("passive compatible (constant block diagonals)", memory.is_passive_compatible(sg, args.tol))
     nearest = memory.nearest_passive_qubit(sg, tol=memory.NMR_VALIDATION_TOL)

@@ -127,7 +127,7 @@ def _channel_from_obj(obj, tol: float) -> Channel:
     if kind == "jamiolkowski":
         mat = matrix_from_obj(obj["matrix"] if "matrix" in obj else obj)
         if obj.get("kind") is None:
-            exc = violation(measure(mat, ("hermitian", "psd", "jamiolkowski-tp")), tol, "J")
+            exc = violation(measure(mat, ("hermitian", "psd", "jamiolkowski-tp"), tol), "J")
             if exc is not None:
                 raise FileFormatError(f"untagged matrix failed the Jamiolkowski PSD/trace audit ({exc}); tag the file")
         return channel_from_jamiolkowski(mat, tol=tol)

@@ -63,9 +63,7 @@ first four checks, D, E and R are built as above.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -96,13 +94,13 @@ SUPER_GRAM_CHECKS = ("unit-diagonal", "hermitian", "psd", "equal-diagonal-blocks
 class SuperGram:
     """Gram matrix of a dephasing superchannel acting on d-dimensional channels.
 
-    ``deviations`` holds the measured deviation of ``mat`` from each of
-    SUPER_GRAM_CHECKS, taken when it was validated (empty if it never was).
+    ``checks`` holds one ``Check`` of ``mat`` per SUPER_GRAM_CHECKS, made
+    at the tol it was validated at (empty if it never was).
     """
 
     d: int
     mat: np.ndarray = field(repr=False)
-    deviations: Mapping[str, float] = field(default_factory=dict, repr=False, compare=False)
+    checks: tuple[Check, ...] = field(default=(), repr=False, compare=False)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -123,8 +121,8 @@ def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
         raise DimensionError(f"system dimension must be >= 2, got d={d}")
     if m.shape != (d * d, d * d):
         raise DimensionError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    deviations = require(m, SUPER_GRAM_CHECKS, tol, "Gram matrix")
-    return SuperGram(d=d, mat=readonly_copy(m), deviations=MappingProxyType(deviations))
+    checks = require(m, SUPER_GRAM_CHECKS, tol, "Gram matrix")
+    return SuperGram(d=d, mat=readonly_copy(m), checks=checks)
 
 
 def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel:
@@ -253,10 +251,9 @@ def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float
         raise DimensionError(f"decoder memory input {dec.mem_in} != encoder memory output {enc.mem_out}")
     if tau.shape != (enc.mem_in, enc.mem_in):
         raise DimensionError(f"memory state shape {tau.shape} != ({enc.mem_in}, {enc.mem_in})")
-    deviations = measure(tau, ("hermitian", "unit-trace"))
+    checks = measure(tau, ("hermitian", "unit-trace"), tol)
     lam_min, s = psd_factors(tau)
-    deviations["psd"] = -lam_min
-    if (exc := violation(deviations, tol, "memory state")) is not None:
+    if (exc := violation(checks + (Check("psd", -lam_min, tol),), "memory state")) is not None:
         raise exc
     return s
 
@@ -344,8 +341,9 @@ class RealizationReport:
     matrices must match the blocks of the superchannel's Gram matrix.
     Each check is a ``Check`` of its measured value against tol, and
     ``passed`` is derived from those records.
-    ``gram_deviations`` holds the deviation of ``gram_entries`` from each of
-    SUPER_GRAM_CHECKS; the gram-structure check reads the first above tol.
+    ``gram_checks`` holds one ``Check`` of ``gram_entries`` per
+    SUPER_GRAM_CHECKS at tol; the gram-structure check reads the largest of
+    their values and names its check, so it passes exactly when they all do.
     The decoder check's detail names the lowest memory level m whose violation
     lies within tol of the worst, so rounding never picks among exact ties.
 
@@ -368,7 +366,7 @@ class RealizationReport:
     c_de: tuple[np.ndarray, ...] = field(repr=False)
     sigma: tuple[np.ndarray, ...] = field(repr=False)
     gram_entries: np.ndarray = field(repr=False)
-    gram_deviations: Mapping[str, float] = field(repr=False)
+    gram_checks: tuple[Check, ...] = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -425,9 +423,8 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
     blocks = gram_entries.reshape(d, d, d, d)  # [i,k,j,l]
     marg_violation = max(max_abs(blocks[0, :, 0, :] - c_en), max_abs(np.einsum("imjm->mij", blocks) - c_de))
 
-    gram_deviations = measure(gram_entries, SUPER_GRAM_CHECKS)
-    exc = violation(gram_deviations, tol, "extracted Gram matrix")
-    gram_violation, gram_detail = (0.0, "") if exc is None else (exc.value, f"{exc.check}: {exc}")
+    gram_checks = measure(gram_entries, SUPER_GRAM_CHECKS, tol)
+    worst = max(gram_checks, key=lambda c: c.value)
 
     checks = [
         Check("encoder-dephasing", enc_violation, tol, "encoder must act on the system as a dephasing channel"),
@@ -435,8 +432,7 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
               dec_detail or "decoder must dephase the system for every conditional memory state"),
         Check("marginal-consistency", marg_violation, tol,
               "diagonal block and per-level block diagonals must match the extracted marginals"),
-        Check("gram-structure", gram_violation, tol,
-              gram_detail or "extracted matrix satisfies the superchannel Gram invariants"),
+        Check("gram-structure", worst.value, tol, f"largest deviation of the Gram invariants: {worst.name}"),
     ]
     if all(c.passed for c in checks):
         # mismatch <= sqrt((1 + tol) v), so v == 0 gives 0.0 without R (module docstring)
@@ -451,7 +447,7 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
         c_de=tuple(c_de),
         sigma=tuple(sigma),
         gram_entries=gram_entries,
-        gram_deviations=MappingProxyType(gram_deviations),
+        gram_checks=gram_checks,
     )
 
 
@@ -490,7 +486,7 @@ def gram_from_simulation(
         raise NotDephasingRealizationError(
             f"not a dephasing-superchannel realization; violated condition(s): {names}", report
         )
-    return SuperGram(d=enc.sys_in, mat=readonly_copy(report.gram_entries), deviations=report.gram_deviations)
+    return SuperGram(d=enc.sys_in, mat=readonly_copy(report.gram_entries), checks=report.gram_checks)
 
 
 def circuit_oracle(

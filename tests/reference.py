@@ -15,14 +15,41 @@ from dephkit import (
     apply_channel,
     bipartite_channel,
     channel_from_kraus,
-    dephasing_channel,
-    gram_matrix,
-    max_entangled_state,
     validate_super_gram,
 )
 from dephkit.bloch import _I2, SIGMA, AffineMap
 from dephkit.errors import DimensionError
-from dephkit.linalg import DEFAULT_TOL, as_complex_matrix, basis_matrix, dagger, max_abs, measure, violation
+from dephkit.linalg import (
+    DEFAULT_TOL,
+    as_complex_matrix,
+    basis_matrix,
+    dagger,
+    max_abs,
+    measure,
+    psd_factors,
+    readonly_copy,
+    require,
+    violation,
+)
+
+
+def max_entangled_state(d: int) -> np.ndarray:
+    """Projector onto (1/sqrt(d)) sum_i |ii>."""
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = 1.0 / np.sqrt(d)
+    return np.outer(psi, psi.conj())
+
+
+def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
+    """Validate a Gram matrix: PSD within tol with all diagonal entries 1 within tol."""
+    m = as_complex_matrix(mat)
+    require(m, ("unit-diagonal", "hermitian", "psd"), tol, "Gram matrix")
+    return GramMatrix(mat=readonly_copy(m))
+
+
+def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
+    """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†, TP within tol."""
+    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T], tol=tol)
 
 
 def random_density_matrix(d: int, seed: int) -> np.ndarray:
@@ -61,7 +88,7 @@ def schur(a, b) -> np.ndarray:
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
-    return violation(measure(as_complex_matrix(m), ("hermitian", "psd")), tol) is None
+    return violation(measure(as_complex_matrix(m), ("hermitian", "psd"), tol)) is None
 
 
 def compose(after: Channel, before: Channel) -> Channel:
@@ -69,7 +96,7 @@ def compose(after: Channel, before: Channel) -> Channel:
     if before.dim_out != after.dim_in:
         raise DimensionError(f"cannot compose: inner dims {before.dim_out} != {after.dim_in}")
     ops = [a @ b for a in after.kraus for b in before.kraus]
-    return channel_from_kraus(ops, trace_preserving=after.trace_preserving and before.trace_preserving)
+    return channel_from_kraus(ops)
 
 
 def dephase_state(rho, c: GramMatrix) -> np.ndarray:

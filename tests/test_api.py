@@ -16,10 +16,10 @@ PUBLIC_NAMES = [
     "bipartite_channel", "channel_from_jamiolkowski", "channel_from_kraus", "circuit_oracle",
     "classical_action", "coherence_generating_power", "controlled_unitary_channel",
     "controlled_unitary_family", "decompose_product_qubit", "density_matrix",
-    "dephasing_channel", "family_gram", "family_ppt_closed_form", "family_realization",
+    "family_gram", "family_ppt_closed_form", "family_realization",
     "gram_action_on_affine", "gram_from_controlled_unitaries", "gram_from_simulation",
-    "gram_matrix", "is_passive_compatible", "jamiolkowski", "jamiolkowski_from_affine", "kron",
-    "l1_coherence", "l1_distance", "max_entangled_state", "memory_activity_qubit",
+    "is_passive_compatible", "jamiolkowski", "jamiolkowski_from_affine", "kron",
+    "l1_coherence", "l1_distance", "memory_activity_qubit",
     "min_eig_hermitian", "nearest_passive_qubit", "nmr_experimental_gram", "partial_trace",
     "partial_transpose", "ppt_min_eig", "random_channel", "random_controlled_family",
     "random_super_gram", "reshuffle", "superop_from_kraus", "validate_super_gram",
@@ -41,7 +41,8 @@ def test_public_api_is_pinned():
 # "trace-preserving" check of linalg defines.
 MOVED_TO_TESTS = [
     "identity_channel", "unitary_channel", "maximally_dephasing_channel", "random_density_matrix",
-    "identity_super_gram", "xy_plane_projection", "pauli_anchor_defect",
+    "identity_super_gram", "xy_plane_projection", "pauli_anchor_defect", "dephasing_channel",
+    "gram_matrix", "max_entangled_state",
 ]
 
 

@@ -11,7 +11,6 @@ from dephkit import (
     gram_action_on_affine,
     jamiolkowski,
     jamiolkowski_from_affine,
-    max_entangled_state,
     random_channel,
     random_super_gram,
     validate_super_gram,
@@ -21,6 +20,7 @@ from dephkit.linalg import max_abs, min_eig_hermitian
 from reference import (
     identity_channel,
     identity_super_gram,
+    max_entangled_state,
     maximally_dephasing_channel,
     pauli_anchor_defect,
     project_to_xy,

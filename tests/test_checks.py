@@ -13,19 +13,17 @@ from dephkit import (
     apply_super,
     channel_from_jamiolkowski,
     channel_from_kraus,
-    classical_action,
     controlled_unitary_family,
     decompose_product_qubit,
     density_matrix,
     family_gram,
     gram_action_on_affine,
-    gram_matrix,
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
-from dephkit.linalg import measure, require, violation
+from dephkit.linalg import Check, measure, require, violation
 from dephkit.superchannels import SUPER_GRAM_CHECKS
-from reference import identity_channel
+from reference import gram_matrix, identity_channel
 
 TOLS = (1e-9, 1e-6)
 
@@ -86,16 +84,17 @@ CHECKS = (
 @pytest.mark.parametrize("check", CHECKS)
 def test_check_trips_exactly_above_its_tolerance(check, tol):
     x, checks, validate = _case(check, 1.5 * tol, tol)
-    deviations = measure(x, checks)
-    assert [name for name, value in deviations.items() if value > tol] == [check]
+    records = measure(x, checks, tol)
+    assert [(c.name, c.threshold) for c in records] == [(name, tol) for name in checks]
+    assert [c.name for c in records if c.value > tol] == [check]
     with pytest.raises(ValidationError) as err:
         validate()
     assert err.value.check == check
-    assert err.value.value == deviations[check]
+    assert err.value.value == next(c.value for c in records if c.name == check)
     assert err.value.value == pytest.approx(1.5 * tol, rel=1e-5)
 
     x, checks, validate = _case(check, 0.5 * tol, tol)
-    assert all(value <= tol for value in measure(x, checks).values())
+    assert all(c.value <= tol for c in measure(x, checks, tol))
     validate()
 
 
@@ -105,7 +104,6 @@ def _validator_failures():
     skew[0, 1] = 1e-3
     corner = np.ones((4, 4), dtype=complex)
     corner[0, 3] = 2.0  # not Hermitian; its symmetrization is not PSD on the identity channel's support
-    half = channel_from_kraus([np.eye(2) / 2], trace_preserving=False)
     identity = affine_map(np.eye(3), np.zeros(3))
     return [
         ("finite-entries", lambda: density_matrix(np.array([[0.5, np.nan], [0.0, 0.5]]))),
@@ -115,7 +113,6 @@ def _validator_failures():
         ("jamiolkowski-hermitian", lambda: gram_action_on_affine(validate_super_gram(corner, 2, tol=10.0), identity)),
         ("kraus-nonempty", lambda: channel_from_kraus([])),
         ("cp", lambda: channel_from_jamiolkowski(-np.eye(4) / 4)),
-        ("trace-preserving", lambda: classical_action(half)),
         (
             "superchannel-output-cp",
             lambda: apply_super(validate_super_gram(corner + corner.T - 1, 2, tol=10.0), identity_channel(2)),
@@ -151,12 +148,12 @@ def test_one_bad_matrix_in_a_stack_trips_its_check(check, tol):
     good, checks, _ = _case(check, 0.5 * tol, tol)
     bad, _, _ = _case(check, 1.5 * tol, tol)
     stack = np.stack([good, bad, good])
-    deviations = measure(stack, checks)
-    assert deviations == {name: max(measure(m, (name,))[name] for m in stack) for name in checks}
+    records = measure(stack, checks, tol)
+    assert [c.value for c in records] == [max(measure(m, (name,), tol)[0].value for m in stack) for name in checks]
     with pytest.raises(ValidationError) as err:
         require(stack, checks, tol)
     assert err.value.check == check
-    assert err.value.value == measure(bad, checks)[check]
+    assert err.value.value == next(c.value for c in measure(bad, checks, tol) if c.name == check)
     require(np.stack([good, good]), checks, tol)
 
 
@@ -165,10 +162,11 @@ def test_one_bad_matrix_in_a_stack_trips_its_check(check, tol):
 def test_stack_measure_is_the_worst_of_its_matrices(n, k, seed):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
-    per_matrix = [measure(m, STACKED) for m in stack]
-    assert measure(stack, STACKED) == {name: max(d[name] for d in per_matrix) for name in STACKED}
+    per_matrix = [measure(m, STACKED, TOLS[0]) for m in stack]
+    worst = [max(records[i].value for records in per_matrix) for i in range(len(STACKED))]
+    assert [c.value for c in measure(stack, STACKED, TOLS[0])] == worst
 
 
 def test_nan_deviation_fails_its_check():
-    exc = violation({"unit-diagonal": 0.0, "hermitian": math.nan}, 1e-9)
+    exc = violation((Check("unit-diagonal", 0.0, 1e-9), Check("hermitian", math.nan, 1e-9)))
     assert exc is not None and exc.check == "hermitian"

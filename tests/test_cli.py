@@ -11,6 +11,7 @@ import pytest
 import dephkit
 from conftest import CMAX, audit_only_triple, small_flip_channel
 from dephkit import (
+    channel_from_kraus,
     jamiolkowski,
     kron,
     random_channel,
@@ -575,6 +576,16 @@ def test_bloch_affine_command(capsys, tmp_path):
     assert lam == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
     obj = json.loads(out.read_text())
     assert obj["t"] == [0.0, 0.0, 0.0]
+
+
+def test_bloch_affine_contraction_is_judged_at_the_callers_tol(capsys, tmp_path):
+    # sqrt(1 + 5e-7) I is a channel at tol 1e-6 whose distortion is (1 + 5e-7) I:
+    # a contraction at that tol, not at the default 1e-9.
+    path = tmp_path / "dented.json"
+    write_channel(path, channel_from_kraus([np.sqrt(1 + 5e-7) * np.eye(2)], tol=1e-6))
+    code, report = run_json(capsys, "bloch-affine", path, "--tol", "1e-6")
+    assert code == 0
+    assert {d["check"]: d["value"] for d in report["details"]}["distortion is a contraction"] is True
 
 
 def test_demo_nmr(capsys, tmp_path):

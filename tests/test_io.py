@@ -113,7 +113,7 @@ def test_channel_jamiolkowski_roundtrip(tmp_path):
 def test_channel_kraus_tp_checked_at_the_callers_tol(tmp_path):
     ch = random_channel(2, 3, seed=1)
     path = tmp_path / "ch.json"
-    dented = channel_from_kraus([k * (1 + 5e-8) for k in ch.kraus], trace_preserving=False)
+    dented = channel_from_kraus([k * (1 + 5e-8) for k in ch.kraus], tol=1e-6)
     write_channel(path, dented, kind="kraus")
     read_channel(path, tol=1e-6)
     with pytest.raises(ValidationError) as err:

@@ -24,7 +24,16 @@ from dephkit import (
     verify_dephasing_realization,
     verify_simulation_consistency,
 )
-from dephkit.linalg import basis_matrix, basis_vector, kron, max_abs, measure, partial_trace, random_unitary
+from dephkit.linalg import (
+    DEFAULT_TOL,
+    basis_matrix,
+    basis_vector,
+    kron,
+    max_abs,
+    measure,
+    partial_trace,
+    random_unitary,
+)
 from dephkit import superchannels
 from dephkit.superchannels import simulation_tensor
 from dephkit.memory import nmr_experimental_gram
@@ -121,7 +130,7 @@ def test_apply_super_preserves_classical_action(d, n):
         ch = random_channel(d, 2, seed + 1000)
         out = apply_super(sg, ch)
         assert max_abs(classical_action(out) - classical_action(ch)) < 1e-9
-        assert measure(out.kraus, ("trace-preserving",))["trace-preserving"] < 1e-9
+        assert measure(out.kraus, ("trace-preserving",), 1e-9)[0].value < 1e-9
         assert is_psd(jamiolkowski(out), tol=1e-9)
 
 
@@ -137,7 +146,7 @@ def _dented_super_gram():
 
 def test_apply_super_checks_tp_at_the_callers_tol():
     out = apply_super(_dented_super_gram(), random_channel(2, 2, 5), tol=1e-6)
-    assert measure(out.kraus, ("trace-preserving",))["trace-preserving"] < 1e-6
+    assert measure(out.kraus, ("trace-preserving",), 1e-6)[0].value < 1e-6
 
 
 def test_apply_super_tp_defect_above_tol_is_named():
@@ -590,11 +599,7 @@ def reference_evaluation(enc, dec, tau, tol=1e-9):
     marg_violation = max(
         [max_abs(gram[:d, :d] - c_en)] + [max_abs(gram[m::d, m::d] - c_de[m]) for m in range(d)]
     )
-    try:
-        validate_super_gram(gram, d, tol=tol)
-        gram_violation = 0.0
-    except ValidationError as exc:
-        gram_violation = exc.value
+    gram_violation = max(c.value for c in measure(gram, superchannels.SUPER_GRAM_CHECKS, tol))
     values = {
         "encoder-dephasing": enc_violation,
         "decoder-dephasing": dec_violation,
@@ -658,6 +663,22 @@ def test_gram_structure_uses_callers_tol():
     assert set(failed) == {"gram-structure"}
     assert failed["gram-structure"] == pytest.approx(1.8e-9, rel=1e-6)
     assert max_abs(np.diag(gram_from_simulation(noisy, noisy, tau, tol=1e-8).mat) - 1) > 1e-9
+
+
+def test_gram_structure_reports_the_largest_measured_deviation():
+    # A passing extracted matrix is measured at rounding level, not read as 0.0.
+    enc, dec, tau = realization_triple("coherent", 3)
+    report = verify_dephasing_realization(enc, dec, tau)
+    check = next(c for c in report.checks if c.name == "gram-structure")
+    assert check.value > 0.0
+    worst = max(report.gram_checks, key=lambda c: c.value)
+    assert check.value == worst.value
+    assert worst.name in check.detail
+    assert report.passed
+    sg = gram_from_simulation(enc, dec, tau)
+    assert sg.checks == report.gram_checks
+    expected = [(name, DEFAULT_TOL) for name in superchannels.SUPER_GRAM_CHECKS]
+    assert [(c.name, c.threshold) for c in sg.checks] == expected
 
 
 def test_reject_holds_no_large_arrays():
