@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, apply_channel
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .linalg import DEFAULT_TOL, as_complex_matrix, readonly_copy, require
 from .superchannels import SuperGram
 
@@ -39,8 +39,7 @@ class AffineMap:
     def __post_init__(self):
         if self.lam.shape != (3, 3) or self.t.shape != (3,):
             raise DimensionError("affine map needs a 3x3 distortion and a length-3 translation")
-        if not (np.isfinite(self.lam).all() and np.isfinite(self.t).all()):
-            raise ValidationError("finite-entries", "affine parameters must be finite")
+        require(np.append(self.lam, self.t), ("finite-entries",), 0, "affine parameters")
 
     def is_contraction(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether Lambda† Lambda <= I, required of positive maps."""

@@ -12,12 +12,14 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     as_complex_matrix,
     basis_matrix,
     dagger,
+    enforce,
     kron,
     psd_factors,
     readonly_copy,
@@ -47,7 +49,7 @@ class Channel:
 
     def __post_init__(self, tol: float):
         if not self.kraus:
-            raise ValidationError("kraus-nonempty", "channel needs at least one Kraus operator", 0)
+            raise DimensionError("channel needs at least one Kraus operator")
         for k in self.kraus:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimensionError(
@@ -96,11 +98,10 @@ def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Chan
     jam = as_complex_matrix(jam)
     side = jam.shape[0]
     d = round(side**0.5)
-    if jam.shape != (side, side) or d * d != side:
-        raise DimensionError(f"Jamiolkowski matrix must be d^2 x d^2, got {jam.shape}")
+    if jam.shape != (side, side) or d * d != side or d < 1:
+        raise DimensionError(f"Jamiolkowski matrix must be d^2 x d^2 with d >= 1, got {jam.shape}")
     lam_min, factors = psd_factors(d * jam)
-    if lam_min < -d * tol:
-        raise ValidationError("cp", f"Choi eigenvalue {lam_min:.3e} certifies a non-CP map", -lam_min)
+    enforce(Check("cp", -lam_min, d * tol), "Jamiolkowski matrix", "smallest eigenvalue of d·J lies below 0 by")
     ops = [f.reshape(d, d) for f in factors.T] or [np.zeros((d, d), dtype=complex)]
     return channel_from_kraus(ops, tol=d * tol)
 

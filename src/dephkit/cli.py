@@ -115,7 +115,7 @@ def cmd_gram_from_unitaries(args) -> Report:
         pre, post = io.read_family_pair(args.file, tol=args.tol)
         sg = superchannels.gram_from_controlled_unitaries(pre, post, tol=args.tol)
     except ValidationError as exc:
-        report.add(exc.check, exc.value, args.tol)
+        report.checks.append(exc.record)
         return report
     report.checks += sg.checks
     if args.out:
@@ -187,19 +187,7 @@ def cmd_memory_decompose(args) -> Report:
     report.add("term count", len(dec.terms))
     report.add("total weight", dec.total_weight(), None)
     if args.out:
-        obj = {
-            "residual": dec.residual,
-            "terms": [
-                {
-                    "weight": t.weight,
-                    "c1": io.matrix_to_obj(t.c1.mat),
-                    "c2": io.matrix_to_obj(t.c2.mat),
-                }
-                for t in dec.terms
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1)
+        io.write_decomposition(args.out, dec)
     return report
 
 
@@ -247,9 +235,7 @@ def cmd_bloch_affine(args) -> Report:
     report.add("translation vector", [round(x, 12) for x in aff.t.tolist()])
     report.add("distortion is a contraction", aff.is_contraction(args.tol))
     if args.out:
-        obj = {"lambda": io.matrix_to_obj(aff.lam.astype(complex)), "t": list(aff.t)}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1)
+        io.write_affine(args.out, aff)
     return report
 
 

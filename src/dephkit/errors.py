@@ -14,14 +14,16 @@ class DimensionError(DephkitError):
 class ValidationError(DephkitError):
     """A structured object failed one of its defining invariants.
 
-    ``check`` is a stable machine-readable name of the violated invariant,
-    ``value`` the measured deviation (when meaningful).
+    ``record`` is the failed ``linalg.Check``: the invariant's stable name, the
+    measured value and the threshold it broke; ``check`` and ``value`` read it.
     """
 
-    def __init__(self, check: str, message: str, value: float | None = None):
+    def __init__(self, record, message: str):
         super().__init__(message)
-        self.check = check
-        self.value = value
+        self.record = record
+
+    check = property(lambda self: self.record.name)
+    value = property(lambda self: self.record.value)
 
 
 class NotDephasingRealizationError(DephkitError):
@@ -35,12 +37,11 @@ class NotDephasingRealizationError(DephkitError):
         self.report = report
 
 
-class DecompositionError(DephkitError):
+class DecompositionError(ValidationError):
     """No product decomposition fits the matrix within the requested tolerance.
 
-    ``residual`` is the entrywise fit error of the best closed-form candidate.
+    Its record is "product-decomposition": the entrywise fit error of the best
+    closed-form candidate, which ``residual`` reads, against tol.
     """
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    residual = property(lambda self: self.record.value)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus
-from .errors import DephkitError
-from .linalg import DEFAULT_TOL, as_complex_matrix, measure, violation
+from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
+from .errors import DephkitError, DimensionError, ValidationError
+from .linalg import DEFAULT_TOL, as_complex_matrix, require
 from .superchannels import BipartiteChannel, bipartite_channel, controlled_unitary_family
 
 
@@ -40,9 +40,9 @@ def _dimension(obj, key: str) -> int:
     """Field ``key`` of obj as a nonnegative integer; an integral float such as 4.0 reads as 4.
 
     A bool, a non-number, a fractional or non-finite number and a negative
-    number are refused rather than truncated.
+    number are refused rather than truncated; so is a missing field.
     """
-    value = obj[key]
+    value = obj.get(key) if isinstance(obj, dict) else None
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int or value < 0:
@@ -64,6 +64,21 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise FileFormatError("matrix contains non-finite entries")
     return mat
+
+
+def _matrices(obj, key: str) -> list[np.ndarray]:
+    """Field ``key`` of obj, a list of matrix objects, as matrices."""
+    try:
+        return [matrix_from_obj(m) for m in obj[key]]
+    except (KeyError, TypeError) as exc:
+        raise FileFormatError(f"{key} must be a list of matrix objects: {exc!r}") from exc
+
+
+def _declared(mats, shape: tuple[int, int]) -> None:
+    """Refuse a matrix whose shape is not the one the file's dimension fields declare."""
+    for m in mats:
+        if m.shape != shape:
+            raise FileFormatError(f"a matrix has shape {m.shape}, but the file's dimension fields declare {shape}")
 
 
 def _load_json(path) -> dict:
@@ -97,8 +112,6 @@ def write_channel(path, ch: Channel, kind: str = "kraus") -> None:
             "kraus": [matrix_to_obj(k) for k in ch.kraus],
         }
     elif kind == "jamiolkowski":
-        from .channels import jamiolkowski
-
         obj = {"kind": "jamiolkowski", "dim": ch.dim_in, "matrix": matrix_to_obj(jamiolkowski(ch))}
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
@@ -108,29 +121,38 @@ def write_channel(path, ch: Channel, kind: str = "kraus") -> None:
 def _channel_from_obj(obj, tol: float) -> Channel:
     if not isinstance(obj, dict):
         raise FileFormatError(f"channel file must hold a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
+    kind = tag = obj.get("kind")
     if kind is None:
         # Fallback classification: a Kraus list without a tag, or a bare
-        # matrix that passes a Jamiolkowski PSD/trace audit.
+        # matrix that passes a Jamiolkowski PSD/trace audit. Neither declares
+        # its dimensions.
         if "kraus" in obj:
             kind = "kraus"
         elif "matrix" in obj or "data" in obj:
             kind = "jamiolkowski"
         else:
             raise FileFormatError("channel file lacks a 'kind' tag and is not classifiable")
-    if kind == "kraus":
-        try:
-            ops = [matrix_from_obj(k) for k in obj["kraus"]]
-        except (KeyError, TypeError) as exc:
-            raise FileFormatError(f"malformed kraus channel: {exc}") from exc
-        return channel_from_kraus(ops, tol=tol)
-    if kind == "jamiolkowski":
-        mat = matrix_from_obj(obj["matrix"] if "matrix" in obj else obj)
-        if obj.get("kind") is None:
-            exc = violation(measure(mat, ("hermitian", "psd", "jamiolkowski-tp"), tol), "J")
-            if exc is not None:
-                raise FileFormatError(f"untagged matrix failed the Jamiolkowski PSD/trace audit ({exc}); tag the file")
-        return channel_from_jamiolkowski(mat, tol=tol)
+    try:
+        if kind == "kraus":
+            ops = _matrices(obj, "kraus")
+            if tag is not None:  # a tagged file declares its dimensions
+                _declared(ops, (_dimension(obj, "dim_out"), _dimension(obj, "dim_in")))
+            return channel_from_kraus(ops, tol=tol)
+        if kind == "jamiolkowski":
+            mat = matrix_from_obj(obj["matrix"] if "matrix" in obj else obj)
+            if tag is not None:
+                d = _dimension(obj, "dim")
+                _declared((mat,), (d * d, d * d))
+            else:
+                try:
+                    require(mat, ("hermitian", "psd", "jamiolkowski-tp"), tol, "J")
+                except ValidationError as exc:
+                    raise FileFormatError(
+                        f"untagged matrix failed the Jamiolkowski PSD/trace audit ({exc}); tag the file"
+                    ) from exc
+            return channel_from_jamiolkowski(mat, tol=tol)
+    except DimensionError as exc:
+        raise FileFormatError(f"{kind} channel file: {exc}") from exc
     raise FileFormatError(f"unknown channel kind {kind!r}")
 
 
@@ -152,12 +174,15 @@ def write_bipartite(path, bc: BipartiteChannel) -> None:
 
 def read_bipartite(path, tol: float = DEFAULT_TOL) -> BipartiteChannel:
     obj = _load_json(path)
+    if isinstance(obj, dict) and obj.get("kind") not in (None, "bipartite-kraus"):
+        raise FileFormatError(f"unknown bipartite channel kind {obj['kind']!r}")
+    dims = tuple(_dimension(obj, key) for key in ("sys_in", "mem_in", "sys_out", "mem_out"))
+    ops = _matrices(obj, "kraus")
+    _declared(ops, (dims[2] * dims[3], dims[0] * dims[1]))
     try:
-        dims = tuple(_dimension(obj, key) for key in ("sys_in", "mem_in", "sys_out", "mem_out"))
-        ops = [matrix_from_obj(k) for k in obj["kraus"]]
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"malformed bipartite channel file: {exc}") from exc
-    return bipartite_channel(ops, dims, tol=tol)
+        return bipartite_channel(ops, dims, tol=tol)
+    except DimensionError as exc:
+        raise FileFormatError(f"bipartite channel file: {exc}") from exc
 
 
 def write_family_pair(path, pre, post) -> None:
@@ -171,12 +196,23 @@ def write_family_pair(path, pre, post) -> None:
 
 def read_family_pair(path, tol: float = DEFAULT_TOL):
     obj = _load_json(path)
+    pre, post, d = _matrices(obj, "pre"), _matrices(obj, "post"), _dimension(obj, "d")
+    _declared(pre + post, (d * d, d * d))
     try:
-        pre = controlled_unitary_family([matrix_from_obj(u) for u in obj["pre"]], tol=tol)
-        post = controlled_unitary_family([matrix_from_obj(u) for u in obj["post"]], tol=tol)
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"malformed unitary family file: {exc}") from exc
-    return pre, post
+        return tuple(controlled_unitary_family(us, tol=tol) for us in (pre, post))
+    except DimensionError as exc:
+        raise FileFormatError(f"unitary family file: {exc}") from exc
+
+
+def write_decomposition(path, dec) -> None:
+    """A product certificate: its residual, and the weight and both factors of each term."""
+    terms = [{"weight": t.weight, "c1": matrix_to_obj(t.c1.mat), "c2": matrix_to_obj(t.c2.mat)} for t in dec.terms]
+    _dump_json(path, {"residual": dec.residual, "terms": terms})
+
+
+def write_affine(path, aff) -> None:
+    """A Bloch affine map: its distortion matrix as a matrix object and its translation vector."""
+    _dump_json(path, {"lambda": matrix_to_obj(aff.lam), "t": aff.t.tolist()})
 
 
 def file_digest(path) -> str:

@@ -28,8 +28,7 @@ def as_complex_matrix(m) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        bad = int((~np.isfinite(arr)).sum())
-        raise ValidationError("finite-entries", f"matrix contains {bad} NaN or Inf entries", bad)
+        require(arr, ("finite-entries",), 0)
     return arr
 
 
@@ -125,8 +124,9 @@ def max_abs(m: np.ndarray) -> float:
 
 # Measure layer: each named invariant is measured by one function, as a finite
 # deviation that ``measure`` records with its tolerance in a ``Check``, which
-# passes when the deviation is <= tol. Validators raise from ``require``; the
-# CLI renders the records. The matrix invariants also take a stack of
+# passes when the deviation is <= tol. Every refusal is a failed record raised
+# by ``enforce``, and ``require`` is ``measure`` plus ``enforce``; the CLI
+# renders the records. The matrix invariants also take a stack of
 # matrices (..., k, k), and measure its worst member.
 
 
@@ -142,8 +142,8 @@ def _hermitian(m: np.ndarray) -> float:
 
 def _psd(m: np.ndarray) -> float:
     """-λ_min of the Hermitian part, negative when m is positive definite; measured after "hermitian",
-    which refuses a non-square m. An empty stack reads -inf."""
-    return -float(np.linalg.eigvalsh(hermitize(m))[..., 0].min(initial=np.inf))
+    which refuses a non-square m. An empty stack or a 0 x 0 matrix reads -inf."""
+    return -float(np.linalg.eigvalsh(hermitize(m))[..., :1].min(initial=np.inf))
 
 
 def _unit_trace(m: np.ndarray) -> float:
@@ -178,6 +178,7 @@ _CHECKS = {
     "trace-preserving": (_kraus_tp, "sum K†K deviates from identity by"),
     "jamiolkowski-tp": (_jamiolkowski_tp, "Tr_1 J deviates from I/d by"),
     "unitary": (lambda u: _kraus_tp((u,)), "deviation from unitarity is"),  # u†u = I
+    "finite-entries": (lambda m: np.count_nonzero(~np.isfinite(m)), "count of NaN or Inf entries is"),
 }
 # The same invariants, named for the transformed Jamiolkowski states they are checked on.
 _CHECKS["jamiolkowski-hermitian"] = _CHECKS["hermitian"]
@@ -220,20 +221,20 @@ def measure(x, checks: Iterable[str], tol: float) -> tuple[Check, ...]:
     return tuple([Check(name, _CHECKS[name][0](x), tol) for name in checks])
 
 
-def violation(checks: Iterable[Check], subject: str = "matrix") -> ValidationError | None:
-    """The error for the first failed check, or None when every check passes; a NaN value fails."""
-    for c in checks:
-        if not c.passed:
-            message = f"{subject}: {_CHECKS[c.name][1]} {c.value:.3e} > {c.threshold:.3e}"
-            return ValidationError(c.name, message, c.value)
-    return None
+def enforce(record: Check, subject: str, what: str = "") -> None:
+    """Raise a failed record (a NaN value fails) as a ValidationError that carries it.
+
+    Its message is "{subject}: {what} {value:.3e} > {threshold:.3e}", ``what`` by default the check's wording."""
+    if not record.passed:
+        what = what or _CHECKS[record.name][1]
+        raise ValidationError(record, f"{subject}: {what} {record.value:.3e} > {record.threshold:.3e}")
 
 
 def require(x, checks: Iterable[str], tol: float, subject: str = "matrix") -> tuple[Check, ...]:
     """Measure x; raise the ValidationError of the first check above tol, else return the checks."""
     records = measure(x, checks, tol)
-    if (exc := violation(records, subject)) is not None:
-        raise exc
+    for c in records:
+        enforce(c, subject)
     return records
 
 

@@ -26,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GramMatrix
-from .errors import DecompositionError, DimensionError, ValidationError
+from .errors import DecompositionError, DimensionError
 from .io import bundled_data_path, read_matrix
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     as_complex_matrix,
     basis_vector,
     check_tol,
+    enforce,
     hermitize,
     kron,
     max_abs,
@@ -372,13 +374,7 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     if sg.d != 2:
         raise DimensionError(f"product decomposition is implemented for d=2 only, got d={sg.d}")
     averaged, deviation = _passive_projection(sg)
-    if deviation > tol:
-        raise ValidationError(
-            "passive-compatibility",
-            f"Gram matrix: a block diagonal deviates from constant by {deviation:.3e} > {tol:.3e}; "
-            "no passive realization exists",
-            deviation,
-        )
+    enforce(Check("passive-compatibility", deviation, tol), "Gram matrix", "a block diagonal deviates from constant by")
 
     fits = []  # (fit error on the average, atoms, weights, fit) per candidate tried
     candidates = _closed_form_atoms(averaged) if max_abs(sg.mat) > tol else [(np.empty((0, 2)), np.empty(0))]
@@ -396,7 +392,8 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
             )
         else:
             reason = "not a product mixture within tol"
-        raise DecompositionError(f"product decomposition residual {residual:.3e} > {tol:.1e}: {reason}", residual)
+        record = Check("product-decomposition", residual, tol, reason)
+        raise DecompositionError(record, f"product decomposition residual {residual:.3e} > {tol:.1e}: {reason}")
 
     # Both factors of every term, validated as Gram matrices in one pass.
     factors = _circle_gram(atoms)
@@ -417,14 +414,9 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 def _check_disk(alpha: complex, beta: complex, tol: float) -> tuple[complex, complex]:
     check_tol(tol)
     alpha, beta = complex(alpha), complex(beta)
-    bad = sum(not math.isfinite(x) for z in (alpha, beta) for x in (z.real, z.imag))
-    if bad:  # max() below would drop a NaN modulus
-        raise ValidationError("finite-entries", f"parameters must be finite, got a = {alpha}, b = {beta}", bad)
+    require(np.array([alpha, beta]), ("finite-entries",), 0, "family parameters")  # max() would drop a NaN
     excess = max(abs(alpha), abs(beta)) - 1
-    if excess > tol:
-        raise ValidationError(
-            "unit-disk", f"parameters leave the unit disk: max(|a|, |b|) - 1 = {excess:.3e} > {tol:.3e}", excess
-        )
+    enforce(Check("unit-disk", excess, tol), "parameters leave the unit disk", "max(|a|, |b|) - 1 =")
     return alpha, beta
 
 

@@ -11,7 +11,7 @@ Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
 
 Realization engine. Each entry point checks the memory state tau once, as
-a "memory state" through ``violation``: "hermitian", "unit-trace" and "psd"
+a "memory state" through ``enforce``: "hermitian", "unit-trace" and "psd"
 at the caller's tol (DEFAULT_TOL in simulation_tensor and circuit_oracle,
 which take none). The same ``psd_factors`` call gives S with S S† = tau.
 With a_c and b_c the encoder's and decoder's Kraus tensors ([sys_out,
@@ -76,6 +76,7 @@ from .linalg import (
     basis_matrix,
     basis_vector,
     dagger,
+    enforce,
     kron,
     max_abs,
     measure,
@@ -83,7 +84,6 @@ from .linalg import (
     random_unitary,
     readonly_copy,
     require,
-    violation,
 )
 
 # The invariants of a superchannel Gram matrix, in the order they are checked.
@@ -136,9 +136,8 @@ def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel
     try:
         return channel_from_jamiolkowski(jam_out, tol=tol)
     except ValidationError as exc:
-        raise ValidationError(
-            "superchannel-output-cp", f"transformed channel failed CP validation: {exc}", exc.value
-        ) from exc
+        record = exc.record._replace(name="superchannel-output-cp")
+        raise ValidationError(record, f"transformed channel failed CP validation: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,8 @@ def bipartite_channel(
     kraus, dims: tuple[int, int, int, int], tol: float = DEFAULT_TOL
 ) -> BipartiteChannel:
     """Build a bipartite channel from Kraus operators and (sys_in, mem_in, sys_out, mem_out), TP within tol."""
+    if min(dims) < 1:
+        raise DimensionError(f"factor dimensions must be >= 1, got {dims}")
     sys_in, mem_in, sys_out, mem_out = dims
     inner = channel_from_kraus(kraus, tol=tol)
     if inner.dim_in != sys_in * mem_in or inner.dim_out != sys_out * mem_out:
@@ -253,8 +254,8 @@ def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float
         raise DimensionError(f"memory state shape {tau.shape} != ({enc.mem_in}, {enc.mem_in})")
     checks = measure(tau, ("hermitian", "unit-trace"), tol)
     lam_min, s = psd_factors(tau)
-    if (exc := violation(checks + (Check("psd", -lam_min, tol),), "memory state")) is not None:
-        raise exc
+    for c in checks + (Check("psd", -lam_min, tol),):
+        enforce(c, "memory state")
     return s
 
 

@@ -29,7 +29,6 @@ from dephkit.linalg import (
     psd_factors,
     readonly_copy,
     require,
-    violation,
 )
 
 
@@ -88,7 +87,7 @@ def schur(a, b) -> np.ndarray:
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m is Hermitian within tol and its smallest eigenvalue is >= -tol."""
-    return violation(measure(as_complex_matrix(m), ("hermitian", "psd"), tol)) is None
+    return all(c.passed for c in measure(as_complex_matrix(m), ("hermitian", "psd"), tol))
 
 
 def compose(after: Channel, before: Channel) -> Channel:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import CMAX
 from dephkit import (
+    DimensionError,
     ValidationError,
     apply_super,
     channel_from_jamiolkowski,
@@ -21,7 +22,7 @@ from dephkit import (
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
-from dephkit.linalg import Check, measure, require, violation
+from dephkit.linalg import Check, enforce, measure, require
 from dephkit.superchannels import SUPER_GRAM_CHECKS
 from reference import gram_matrix, identity_channel
 
@@ -105,6 +106,10 @@ def _validator_failures():
     corner = np.ones((4, 4), dtype=complex)
     corner[0, 3] = 2.0  # not Hermitian; its symmetrization is not PSD on the identity channel's support
     identity = affine_map(np.eye(3), np.zeros(3))
+    passive_not_psd = np.eye(4, dtype=complex)  # constant block diagonals, off-diagonal entries 1.5
+    passive_not_psd[0, 2] = passive_not_psd[2, 0] = passive_not_psd[1, 3] = passive_not_psd[3, 1] = 1.5
+    nan_lam = np.eye(3)
+    nan_lam[0, 0] = np.nan
     return [
         ("finite-entries", lambda: density_matrix(np.array([[0.5, np.nan], [0.0, 0.5]]))),
         ("hermitian", lambda: density_matrix(skew / 4)),
@@ -121,15 +126,30 @@ def _validator_failures():
         ("unitary", lambda: controlled_unitary_family([2 * np.eye(4), np.eye(4)])),
         ("unit-disk", lambda: family_gram(1.2, 0)),
         ("passive-compatibility", lambda: decompose_product_qubit(validate_super_gram(CMAX, 2))),
+        pytest.param(
+            "product-decomposition",
+            lambda: decompose_product_qubit(validate_super_gram(passive_not_psd, 2, tol=10.0)),
+            id="product-decomposition-not-psd",
+        ),
+        pytest.param("finite-entries", lambda: affine_map(nan_lam, np.zeros(3)), id="finite-entries-affine"),
+        pytest.param("finite-entries", lambda: family_gram(complex(np.nan, 0), 0), id="finite-entries-disk"),
     ]
 
 
 @pytest.mark.parametrize("check,call", _validator_failures())
 def test_every_validation_error_carries_a_finite_value(check, call):
+    if check == "kraus-nonempty":  # a channel of no Kraus operators has nothing to measure: a shape fault
+        with pytest.raises(DimensionError, match="at least one Kraus operator"):
+            call()
+        return
     with pytest.raises(ValidationError) as err:
         call()
-    assert err.value.check == check
+    record = err.value.record
+    assert record.name == err.value.check == check
+    assert isinstance(record.threshold, (int, float)) and math.isfinite(record.threshold)
+    assert not record.passed
     assert err.value.value is not None and math.isfinite(err.value.value)
+    assert f"{record.value:.3e}" in str(err.value)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
@@ -168,5 +188,7 @@ def test_stack_measure_is_the_worst_of_its_matrices(n, k, seed):
 
 
 def test_nan_deviation_fails_its_check():
-    exc = violation((Check("unit-diagonal", 0.0, 1e-9), Check("hermitian", math.nan, 1e-9)))
-    assert exc is not None and exc.check == "hermitian"
+    enforce(Check("unit-diagonal", 0.0, 1e-9), "matrix")
+    with pytest.raises(ValidationError) as err:
+        enforce(Check("hermitian", math.nan, 1e-9), "matrix")
+    assert err.value.check == "hermitian"

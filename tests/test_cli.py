@@ -1,26 +1,35 @@
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dephkit
-from conftest import CMAX, audit_only_triple, small_flip_channel
+from conftest import CMAX, audit_only_triple, permutation, small_flip_channel
 from dephkit import (
     channel_from_kraus,
+    controlled_unitary_family,
+    decompose_product_qubit,
     jamiolkowski,
     kron,
     random_channel,
     random_controlled_family,
     random_super_gram,
+    validate_super_gram,
 )
 from dephkit.cli import main
 from dephkit.io import (
     bundled_data_path,
+    matrix_from_obj,
     matrix_to_obj,
     read_bipartite,
     read_matrix,
@@ -132,6 +141,54 @@ def test_channel_file_that_is_not_an_object_is_a_parse_error(capsys, tmp_path, c
     path = tmp_path / "channel.json"
     path.write_text(content)
     _assert_parse_error(capsys, [command, path] + ([cmax_file] if command == "apply" else []))
+
+
+def test_kraus_file_with_a_lying_dimension_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"kind": "kraus", "dim_in": 7, "dim_out": 3, "kraus": [matrix_to_obj(np.eye(2))]}))
+    _assert_parse_error(capsys, ["bloch-affine", path])
+
+
+@pytest.mark.parametrize("d", [7, "x"])
+def test_family_file_with_a_wrong_d_is_a_parse_error(capsys, tmp_path, cmax_families, d):
+    path = tmp_path / "fam.json"
+    write_family_pair(path, *cmax_families)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), d=d)))
+    _assert_parse_error(capsys, ["gram-from-unitaries", path])
+
+
+@pytest.mark.parametrize("kraus", [[], [np.eye(2), np.eye(3)]], ids=["empty", "ragged"])
+@pytest.mark.parametrize("tagged", [True, False])
+def test_empty_or_ragged_kraus_list_is_a_parse_error(capsys, tmp_path, kraus, tagged):
+    path = tmp_path / "channel.json"
+    obj = {"kraus": [matrix_to_obj(k) for k in kraus]}
+    if tagged:
+        obj.update(kind="kraus", dim_in=2, dim_out=2)
+    path.write_text(json.dumps(obj))
+    _assert_parse_error(capsys, ["bloch-affine", path])
+
+
+EMPTY_MATRIX = {"rows": 0, "cols": 0, "data": []}
+
+
+@pytest.mark.parametrize(
+    "command,obj",
+    [
+        ("bloch-affine", EMPTY_MATRIX),
+        ("bloch-affine", {"kind": "jamiolkowski", "dim": 0, "matrix": EMPTY_MATRIX}),
+        (
+            "verify-realization",
+            {"kind": "bipartite-kraus", "sys_in": 2, "mem_in": 0, "sys_out": 2, "mem_out": 0, "kraus": [EMPTY_MATRIX]},
+        ),
+    ],
+    ids=["untagged-jamiolkowski", "tagged-jamiolkowski", "bipartite"],
+)
+def test_zero_dimensional_input_is_a_parse_error(capsys, tmp_path, command, obj):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps(EMPTY_MATRIX))
+    _assert_parse_error(capsys, [command, path] + ([path, tau] if command == "verify-realization" else []))
 
 
 def test_memory_activity_bundled_nmr(capsys):
@@ -544,6 +601,22 @@ def test_memory_decompose_rejects_active(capsys, cmax_file):
     assert main(["memory-decompose", str(cmax_file)]) == 1
 
 
+def test_memory_decompose_certificate_rereads_to_its_terms(capsys, tmp_path):
+    path = tmp_path / "eye.json"
+    out = tmp_path / "certificate.json"
+    write_matrix(path, np.eye(4))
+    assert main(["memory-decompose", str(path), "--out", str(out)]) == 0
+    dec = decompose_product_qubit(validate_super_gram(np.eye(4), 2))
+    text = out.read_text()
+    assert text.endswith("}\n")
+    obj = json.loads(text)
+    assert obj["residual"] == dec.residual
+    assert [t["weight"] for t in obj["terms"]] == [t.weight for t in dec.terms]
+    for term, t in zip(obj["terms"], dec.terms, strict=True):
+        assert np.array_equal(matrix_from_obj(term["c1"]), t.c1.mat)
+        assert np.array_equal(matrix_from_obj(term["c2"]), t.c2.mat)
+
+
 def test_ppt_command(capsys, tmp_path):
     path = tmp_path / "family.json"
     assert main(["family", "--alpha", "1", "--beta", "1", "--out", str(path)]) == 0
@@ -649,6 +722,92 @@ def test_bad_tolerance_is_a_parse_error(capsys, monkeypatch, source, value):
         main(argv)
     assert exit_.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# The files each file-reading subcommand takes, in argument order, named for the fixtures below.
+CONTRACT_FILES = {
+    "gram-validate": ("gram",),
+    "gram-from-unitaries": ("family",),
+    "gram-from-simulation": ("enc", "dec", "tau"),
+    "apply": ("kraus-channel", "gram"),
+    "verify-realization": ("enc", "dec", "tau"),
+    "memory-activity": ("gram",),
+    "memory-decompose": ("product",),
+    "ppt": ("gram",),
+    "bloch-affine": ("jamiolkowski-channel",),
+}
+DIMENSION_FIELDS = {"rows", "cols", "dim_in", "dim_out", "dim", "d", "sys_in", "mem_in", "sys_out", "mem_out"}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A directory of valid fixtures, and each fixture as a JSON object."""
+    root = tmp_path_factory.mktemp("contract")
+    pre = controlled_unitary_family([np.eye(4), permutation(4, 0, 1)])
+    post = controlled_unitary_family([np.eye(4), permutation(4, 1, 2)])
+    write_matrix(root / "gram.json", CMAX)
+    write_matrix(root / "product.json", np.eye(4))
+    write_matrix(root / "tau.json", np.diag([1.0, 0, 0, 0]))
+    write_family_pair(root / "family.json", pre, post)
+    write_bipartite(root / "enc.json", controlled_unitary_channel(pre))
+    write_bipartite(root / "dec.json", controlled_unitary_channel(post))
+    write_channel(root / "kraus-channel.json", random_channel(2, 3, seed=9))
+    write_channel(root / "jamiolkowski-channel.json", random_channel(2, 2, seed=4), kind="jamiolkowski")
+    names = {name for files in CONTRACT_FILES.values() for name in files}
+    return root, {name: json.loads((root / f"{name}.json").read_text()) for name in names}
+
+
+def _fields(obj, path=()):
+    """The path of every field of a JSON object, through nested objects and lists of objects."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _fields(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            if isinstance(value, dict):
+                yield from _fields(value, path + (i,))
+
+
+def _mutations(key, value):
+    """(new value, whether it breaks the wire schema) for one field; a null kind makes a file untagged."""
+    options = [(junk, junk is not None or key != "kind") for junk in (None, True, "x", [], 2.5, -1, 1e308)]
+    if key == "data":
+        options += [(value[:-1], True), (value + value[:1], True)]
+    if key == "kraus":
+        options.append(([], True))
+    if key in DIMENSION_FIELDS:
+        options.append((value + 1, True))
+    return options
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_on_mutated_files(contract_files, data):
+    root, objs = contract_files
+    command = data.draw(st.sampled_from(sorted(CONTRACT_FILES)))
+    names = CONTRACT_FILES[command]
+    target = data.draw(st.integers(0, len(names) - 1))
+    obj = copy.deepcopy(objs[names[target]])
+    path = data.draw(st.sampled_from(list(_fields(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    value, breaks_schema = data.draw(st.sampled_from(_mutations(path[-1], parent[path[-1]])))
+    parent[path[-1]] = value
+    (root / "mutated.json").write_text(json.dumps(obj))
+    files = [root / ("mutated.json" if i == target else f"{name}.json") for i, name in enumerate(names)]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, *map(str, files), "--json"])  # an exception escaping main fails the test
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        one_error_line = out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert one_error_line or (code == 1 and json.loads(out)["verdict"] == "fail"), (code, out, err)
+    if breaks_schema:
+        assert code == 2, (path, value, err)
 
 
 def _scipy_loaded_after(code):
