@@ -93,7 +93,7 @@ def _provenance(*paths) -> dict[str, str]:
 def _side_to_d(side: int) -> int:
     d = round(side**0.5)
     if d * d != side or d < 2:
-        raise DephkitError(f"matrix side {side} is not d^2 for a system dimension d >= 2")
+        raise FileFormatError(f"matrix side {side} is not d^2 for a system dimension d >= 2")
     return d
 
 

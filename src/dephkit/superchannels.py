@@ -12,8 +12,8 @@ is element (k, l) of block (i, j).
 
 Realization engine. Each entry point checks the memory state tau once, as
 a "memory state" through ``enforce``: "hermitian", "unit-trace" and "psd"
-at the caller's tol (DEFAULT_TOL in simulation_tensor and circuit_oracle,
-which take none). The same ``psd_factors`` call gives S with S S† = tau.
+at the caller's tol (DEFAULT_TOL in simulation_tensor, which takes none).
+The same ``psd_factors`` call gives S with S S† = tau.
 With a_c and b_c the encoder's and decoder's Kraus tensors ([sys_out,
 mem_out, sys_in, mem_in], stacked over c by ``kraus_tensors``, so c stays
 first) and M the middle memory's dimension, every contraction reads two
@@ -38,6 +38,19 @@ one product of the folded tensors, over all Kraus operators at once:
     Tr_mem N_de(|p><q| ⊗ sigma_m), batched over m
     the Gram entries R[(i,i,j,j),(k,k,l,l)], from the matched rows
         D[(i,i,j,j),:] and the matched columns E[k,:,k,l,:,l]
+
+The first three skip exact zeros. If x[k,g,m,r] is exactly 0.0 wherever
+k != m, as in every system-controlled encoder, each entry of
+Tr_mem N_en(|m><n| ⊗ tau) off (k, l) == (m, n) is a sum of products with an
+exact-zero factor. So encoder-dephasing reads 0.0 without that product, the
+matched entries are the product of the d rows with k == m, and sigma_m is
+block (m, m) of the matched columns of E. Likewise, if b[i,t,p,g] is exactly
+0.0 wherever i != p, decoder-dephasing reads 0.0 and only the d rows with
+i == p are multiplied by sigma_m. With c the decoder's Kraus rank and d^2
+memory levels on both of its sides, that takes the decoder's images
+Tr_mem N_de(|p><q| ⊗ sigma_m) from 2c d^9 multiply-adds to about c d^8.
+The test is exact, not a tolerance: a single unmatched entry of 1e-200
+takes the full product. It reads each tensor once.
 
 The fifth check, simulation-mismatch, is the largest |R| off the matched
 index tuples. It needs R only when the first two checks read a nonzero
@@ -349,7 +362,11 @@ class RealizationReport:
     lies within tol of the worst, so rounding never picks among exact ties.
 
     Every quantity of those four checks is a contraction of the Kraus
-    tensors. Only when they pass does ``checks`` hold a fifth,
+    tensors. Where the encoder's (decoder's) Kraus tensors are exactly zero
+    off equal system input and output, as in every system-controlled
+    circuit, encoder-dephasing (decoder-dephasing) reads exactly 0.0 without
+    multiplying those zeros (module docstring), the value the full product
+    gives. Only when the four checks pass does ``checks`` hold a fifth,
     simulation-mismatch: the largest entry of the simulation tensor off the
     matched index tuples, which must vanish for a genuine realization. So
     ``passed`` means the triple realizes a dephasing superchannel at tol.
@@ -377,6 +394,37 @@ class RealizationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _unmatched(rows: np.ndarray, d: int) -> np.ndarray:
+    """The rows (k, m) with k != m of a matrix whose d^2 rows are indexed by (k, m), as a view."""
+    return rows[1:].reshape(d - 1, d + 1, -1)[:, :d]
+
+
+def _encoder_leakage(x: np.ndarray, lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """c_en, the sigma_m and the encoder-dephasing value, multiplying every row of lhs (x as [(k,m),(g,c,r)])."""
+    _, d, mem = x.shape[:3]
+    reduced = lhs @ dagger(lhs)
+    rows = x.transpose(3, 2, 1, 0, 4).reshape(d, mem, -1)  # [m,g,(k,c,r)]
+    sigma = rows @ dagger(rows)
+    matched = reduced[:: d + 1, :: d + 1]
+    c_en = matched.copy()
+    matched[...] = 0.0
+    return c_en, sigma, max_abs(reduced)
+
+
+def _decoder_leakage(rows: np.ndarray, sigma: np.ndarray, tol: float) -> tuple[np.ndarray, float, str]:
+    """c_de, the decoder-dephasing value and its detail, multiplying every row of rows (b as [(i,p),(c,t,g)])."""
+    d, mem = sigma.shape[:2]
+    rows_sigma = (rows.reshape(-1, mem) @ sigma).reshape(d, d * d, -1)  # [m,(i,p),(c,t,h)]
+    images = rows_sigma @ dagger(rows)
+    matched = images[:, :: d + 1, :: d + 1]
+    c_de = matched.copy()
+    matched[...] = 0.0
+    worst = np.abs(images).reshape(d, -1).max(axis=1)
+    violation = float(worst.max())
+    worst_m = int(np.argmax(worst >= violation - tol))
+    return c_de, violation, f"worst conditional memory index m={worst_m}" if violation > 0.0 else ""
+
+
 def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
     """The four realization checks from the folded tensors, and the
     simulation-mismatch check only when those four pass."""
@@ -386,32 +434,30 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
     # must vanish off (k, l) == (m, n). Conditional memory states
     # sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h]. Matched columns of E:
     # enc_matched[(k,g),(l,h)] = N_en(|k><l| ⊗ tau)[(k,g),(l,h)].
-    lhs = x.transpose(1, 3, 2, 0, 4).reshape(d * d, -1)  # [(k,m),(g,c,r)]
-    reduced = lhs @ dagger(lhs)
-    lhs = x.transpose(3, 2, 1, 0, 4).reshape(d, mem, -1)  # [m,g,(k,c,r)]
-    sigma = lhs @ dagger(lhs)
     lhs = np.einsum("ckgkr->kgcr", x).reshape(d * mem, -1)  # [(k,g),(c,r)]
     enc_matched = lhs @ dagger(lhs)
-    matched = reduced[:: d + 1, :: d + 1]
-    c_en = matched.copy()
-    matched[...] = 0.0
-    enc_violation = max_abs(reduced)
+    lhs = x.transpose(1, 3, 2, 0, 4).reshape(d * d, -1)  # [(k,m),(g,c,r)]
+    if _unmatched(lhs, d).any():
+        c_en, sigma, enc_violation = _encoder_leakage(x, lhs)
+    else:
+        # Exact zeros off k == m: reduced vanishes there, and sigma_m is block (m, m) of enc_matched.
+        on = lhs[:: d + 1]
+        c_en, enc_violation = on @ dagger(on), 0.0
+        sigma = np.einsum("mgmh->mgh", enc_matched.reshape(d, mem, d, mem))
 
     # Decoder: images[m,(i,p),(j,q)] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
     # must vanish off (i, j) == (p, q). Matched rows of D:
     # dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
-    rows = b.transpose(1, 3, 0, 2, 4).reshape(-1, mem)  # [(i,p,c,t),g]
-    rows_sigma = (rows @ sigma).reshape(d, d * d, -1)  # [m,(i,p),(c,t,h)]
-    images = rows_sigma @ dagger(rows.reshape(d * d, -1))
+    rows = b.transpose(1, 3, 0, 2, 4).reshape(d * d, -1)  # [(i,p),(c,t,g)]
+    if _unmatched(rows, d).any():
+        c_de, dec_violation, dec_detail = _decoder_leakage(rows, sigma, tol)
+    else:
+        # Exact zeros off i == p: only the matched images, c_de[m] = images[m,(i,i),(j,j)], are nonzero.
+        on = rows[:: d + 1].reshape(-1, mem)  # [(i,c,t),g]
+        c_de = (on @ sigma).reshape(d, d, -1) @ dagger(on.reshape(d, -1))
+        dec_violation, dec_detail = 0.0, ""
     rows = np.einsum("citig->igct", b).reshape(d * mem, -1)  # [(i,g),(c,t)]
     dec_matched = rows @ dagger(rows)
-    matched = images[:, :: d + 1, :: d + 1]
-    c_de = matched.copy()
-    matched[...] = 0.0
-    worst = np.abs(images).reshape(d, -1).max(axis=1)
-    dec_violation = float(worst.max())
-    worst_m = int(np.argmax(worst >= dec_violation - tol))
-    dec_detail = f"worst conditional memory index m={worst_m}" if dec_violation > 0.0 else ""
 
     # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)]
     #   = sum_gh dec_matched[(i,g),(j,h)] enc_matched[(k,g),(l,h)].
@@ -491,14 +537,15 @@ def gram_from_simulation(
 
 
 def circuit_oracle(
-    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, ch: Channel
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, ch: Channel, tol: float = DEFAULT_TOL
 ) -> Channel:
     """Full circuit Tr_mem ∘ N_de ∘ (E ⊗ I) ∘ N_en(· ⊗ tau) by Kraus composition.
 
     Brute-force reference: makes no dephasing assumption about enc/dec.
-    Raises ValidationError when tau is not a state within DEFAULT_TOL.
+    Raises ValidationError when tau is not a state within tol, and
+    ValueError for a NaN or negative tol.
     """
-    d, s = enc.sys_in, _memory_factor(enc, dec, tau, DEFAULT_TOL)
+    d, s = enc.sys_in, _memory_factor(enc, dec, tau, tol)
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionError(f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal d={d}")
 

@@ -126,6 +126,16 @@ def test_matrix_dimensions_out_of_range_are_a_parse_error(capsys, tmp_path, comm
     _assert_parse_error(capsys, [command, path])
 
 
+@pytest.mark.parametrize("side", [0, 3, 5])
+@pytest.mark.parametrize("command", ["gram-validate", "apply", "memory-activity", "memory-decompose", "ppt"])
+def test_gram_file_whose_side_is_not_d_squared_is_a_parse_error(capsys, tmp_path, command, side):
+    path = tmp_path / "side.json"
+    write_matrix(path, np.eye(side))
+    channel = tmp_path / "channel.json"
+    write_channel(channel, random_channel(2, 2, seed=3))
+    _assert_parse_error(capsys, [command] + ([channel] if command == "apply" else []) + [path])
+
+
 def test_bipartite_file_with_an_infinite_dimension_is_a_parse_error(capsys, tmp_path, realization_files):
     _, dec, tau = realization_files
     path = tmp_path / "enc.json"
@@ -789,12 +799,19 @@ def test_cli_contract_holds_on_mutated_files(contract_files, data):
     names = CONTRACT_FILES[command]
     target = data.draw(st.integers(0, len(names) - 1))
     obj = copy.deepcopy(objs[names[target]])
-    path = data.draw(st.sampled_from(list(_fields(obj))))
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    value, breaks_schema = data.draw(st.sampled_from(_mutations(path[-1], parent[path[-1]])))
-    parent[path[-1]] = value
+    whole = [()] if "rows" in obj else []  # () replaces a whole matrix file
+    path = data.draw(st.sampled_from(list(_fields(obj)) + whole))
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        value, breaks_schema = data.draw(st.sampled_from(_mutations(path[-1], parent[path[-1]])))
+        parent[path[-1]] = value
+    else:
+        # A square side that is not d^2 for any d >= 2 is a shape fault of a Gram
+        # matrix file; a memory state of the wrong side only disagrees with its encoder.
+        value = data.draw(st.sampled_from([0, 3, 5]))
+        obj, breaks_schema = matrix_to_obj(np.eye(value)), names[target] != "tau"
     (root / "mutated.json").write_text(json.dumps(obj))
     files = [root / ("mutated.json" if i == target else f"{name}.json") for i, name in enumerate(names)]
     out, err = StringIO(), StringIO()

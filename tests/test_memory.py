@@ -203,6 +203,22 @@ def test_decompose_nearest_passive_matrices(seed):
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_factors_are_exact_circle_grams(seed):
+    # Nothing checks the factors once they are built, so each must be
+    # [[1, e^{-i theta}], [e^{i theta}, 1]] by construction: an exact unit
+    # diagonal, exact Hermiticity and a unit-modulus off-diagonal entry.
+    rng = np.random.default_rng(seed + 60)
+    targets = [nearest_passive_qubit(random_super_gram(2, seed + 800)), random_product_mixture(rng)]
+    eps = np.finfo(float).eps
+    for sg in targets:
+        for term in decompose_product_qubit(sg, tol=1e-10).terms:
+            for c in (term.c1.mat, term.c2.mat):
+                assert np.array_equal(np.diag(c), [1.0, 1.0])
+                assert np.array_equal(c, c.conj().T)
+                assert abs(abs(c[1, 0]) - 1.0) <= 4 * eps
+
+
 def test_decompose_nearest_passive_nmr():
     sg = nearest_passive_qubit(nmr_experimental_gram(), tol=NMR_VALIDATION_TOL)
     _assert_certificate(sg, decompose_product_qubit(sg, tol=1e-10), 1e-10)

@@ -480,6 +480,16 @@ def realization_triple(kind, d, seed=0):
         ]
         return bipartite_channel(kraus, dims)
 
+    if kind in TINY_LEAK_KINDS:
+        # One unmatched Kraus entry of 1e-200, at row (sys 1, mem 0) and column
+        # (sys 0, mem 0) on one side of a controlled triple: that side is no
+        # longer system-controlled, so the engine takes its dense path.
+        enc, dec, tau = realization_triple("diag", d, seed)
+        leaky = enc if kind.startswith("encoder") else dec
+        kraus = leaky.inner.kraus[0].copy()
+        kraus[leaky.mem_out, 0] = 1e-200
+        leaky = bipartite_channel([kraus], dims)
+        return (leaky, dec, tau) if kind.startswith("encoder") else (enc, leaky, tau)
     if kind in ("diag", "diag-kraus-rank-2"):
         rank = 2 if kind == "diag-kraus-rank-2" else 1
         return controlled(rank), controlled(rank), np.diag(rng.dirichlet(np.ones(mem))).astype(complex)
@@ -535,7 +545,8 @@ def realization_triple(kind, d, seed=0):
 
 
 CONTROLLED_KINDS = ("diag", "diag-kraus-rank-2", "coherent", "kraus-rank-2")
-GENUINE_KINDS = CONTROLLED_KINDS + ("identity", "fourier-on-an-empty-level")
+TINY_LEAK_KINDS = ("encoder-leaks-1e-200", "decoder-leaks-1e-200")
+GENUINE_KINDS = CONTROLLED_KINDS + ("identity", "fourier-on-an-empty-level") + TINY_LEAK_KINDS
 BROKEN_KINDS = (
     "unequal-memories", "rank-2-memory-state", "non-mio-encoder", "coherence-consuming-decoder", "wrong-memory-wiring"
 )
@@ -760,6 +771,87 @@ def test_controlled_accept_builds_no_superoperator(d, kind, monkeypatch):
     gram_from_simulation(enc, dec, tau)
 
 
+@pytest.mark.parametrize("d,kind", [(d, kind) for kind in CONTROLLED_KINDS + ("identity",) for d in (2, 3, 4)])
+def test_controlled_triple_multiplies_no_unmatched_row(d, kind, monkeypatch):
+    # The rows of x at k != m and of b at i != p are exactly zero, so the
+    # leakage products over every row would add nothing but exact zeros.
+    def refuse(*_):
+        raise AssertionError("unmatched rows multiplied for a system-controlled triple")
+
+    monkeypatch.setattr(superchannels, "_encoder_leakage", refuse)
+    monkeypatch.setattr(superchannels, "_decoder_leakage", refuse)
+    report = verify_dephasing_realization(*realization_triple(kind, d))
+    assert report.passed
+    assert report.checks[0].value == report.checks[1].value == 0.0
+
+
+@pytest.mark.parametrize("kind", TINY_LEAK_KINDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_unmatched_entry_takes_the_dense_path(kind, d, monkeypatch):
+    # The zero test is exact, not a tolerance: 1e-200 is enough to multiply
+    # every row of its side, and only of its side.
+    called = []
+    for name in ("_encoder_leakage", "_decoder_leakage"):
+        def spy(*args, name=name, helper=getattr(superchannels, name)):
+            called.append(name)
+            return helper(*args)
+
+        monkeypatch.setattr(superchannels, name, spy)
+    report = verify_dephasing_realization(*realization_triple(kind, d))
+    side = 0 if kind.startswith("encoder") else 1
+    assert called == [("_encoder_leakage", "_decoder_leakage")[side]]
+    assert report.checks[side].value > 0.0
+    assert report.checks[1 - side].value == 0.0
+    assert report.passed
+
+
+def leaky_controlled(d, leaks, rng):
+    """A controlled-unitary channel that also sends input m to output k != m for each (k, m) in leaks.
+
+    Each input m keeps weight p_m of a Dirichlet draw on its own level and
+    moves the rest to its leak targets, each with its own memory unitary, so
+    the unmatched slab (k, m) of the Kraus tensors is nonzero exactly when
+    (k, m) is in leaks, and the channel is trace preserving.
+    """
+    mem = d * d
+    kept = np.zeros((d * mem, d * mem), dtype=complex)
+    moved = []
+    for m in range(d):
+        targets = [k for k in range(d) if (k, m) in leaks]
+        weights = rng.dirichlet(np.ones(1 + len(targets)))
+        kept += np.sqrt(weights[0]) * kron(basis_matrix(m, m, d), random_unitary(mem, rng))
+        moved += [np.sqrt(w) * kron(basis_matrix(k, m, d), random_unitary(mem, rng)) for k, w in zip(targets, weights[1:])]
+    return bipartite_channel([kept] + moved, (d, mem, d, mem))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(0, 63), st.integers(0, 63), st.booleans())
+def test_engine_matches_reference_with_unmatched_slabs_switched(seed, d, enc_bits, dec_bits, pure):
+    # Either path on either side, against the per-basis reference.
+    rng = np.random.default_rng(seed)
+    pairs = [(k, m) for k in range(d) for m in range(d) if k != m]
+    enc_leaks = {pair for j, pair in enumerate(pairs) if enc_bits >> j & 1}
+    dec_leaks = {pair for j, pair in enumerate(pairs) if dec_bits >> j & 1}
+    enc, dec = leaky_controlled(d, enc_leaks, rng), leaky_controlled(d, dec_leaks, rng)
+    if pure:
+        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        tau = np.outer(v, v.conj()) / np.vdot(v, v).real
+    else:
+        tau = random_density_matrix(d * d, seed)
+    ref = reference_evaluation(enc, dec, tau)
+    report = verify_dephasing_realization(enc, dec, tau)
+    assert [(c.name, c.passed) for c in report.checks] == [(n, p) for n, p, _ in ref["checks"]]
+    for check, (_, _, value) in zip(report.checks, ref["checks"]):
+        assert abs(check.value - value) <= 1e-12, check.name
+    assert max_abs(report.c_en - ref["c_en"]) <= 1e-12
+    for m in range(d):
+        assert max_abs(report.sigma[m] - ref["sigma"][m]) <= 1e-12
+        assert max_abs(report.c_de[m] - ref["c_de"][m]) <= 1e-12
+    assert max_abs(report.gram_entries - ref["gram"]) <= 1e-12
+    assert (report.checks[0].value == 0.0) == (not enc_leaks)
+    assert (report.checks[1].value == 0.0) == (not dec_leaks)
+
+
 def memory_rotated_fourier(d, seed=0):
     """The Fourier triple with its middle memory conjugated by a Haar-random unitary.
 
@@ -850,7 +942,7 @@ ENTRY_POINTS = {
     "gram_from_simulation": lambda enc, dec, tau, tol: gram_from_simulation(enc, dec, tau, tol),
     "verify_simulation_consistency": lambda enc, dec, tau, tol: verify_simulation_consistency(enc, dec, tau, tol),
     "simulation_tensor": lambda enc, dec, tau, tol: simulation_tensor(enc, dec, tau),  # at DEFAULT_TOL
-    "circuit_oracle": lambda enc, dec, tau, tol: circuit_oracle(enc, dec, tau, identity_channel(2)),
+    "circuit_oracle": lambda enc, dec, tau, tol: circuit_oracle(enc, dec, tau, identity_channel(2), tol),
 }
 
 
@@ -870,7 +962,7 @@ def test_realization_accepts_a_memory_state_within_tol(entry):
     ident = identity_bipartite(2, 2)
     tau = np.diag([1 + tol / 2, -tol / 2])
     ENTRY_POINTS[entry](ident, ident, tau, tol)
-    if entry not in ("simulation_tensor", "circuit_oracle"):
+    if entry != "simulation_tensor":
         with pytest.raises(ValidationError, match="^memory state: ") as err:
             ENTRY_POINTS[entry](ident, ident, tau, tol / 4)
         assert err.value.check == "psd"
