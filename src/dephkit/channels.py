@@ -28,11 +28,19 @@ from .linalg import (
 )
 
 
+def _state_factor(mat, tol: float, subject: str) -> tuple[np.ndarray, np.ndarray]:
+    """rho and S with S S† = rho, once "hermitian", "unit-trace" and "psd" (-λ_min of
+    the ``psd_factors`` call that gives S) hold within tol; the first failure is raised for subject."""
+    rho = as_complex_matrix(mat)
+    require(rho, ("hermitian", "unit-trace"), tol, subject)
+    lam_min, s = psd_factors(rho)
+    enforce(Check("psd", -lam_min, tol), subject)
+    return rho, s
+
+
 def density_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace and PSD within tol."""
-    rho = as_complex_matrix(mat)
-    require(rho, ("hermitian", "unit-trace", "psd"), tol, "state")
-    return rho
+    return _state_factor(mat, tol, "state")[0]
 
 
 @dataclass(frozen=True)

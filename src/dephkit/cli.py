@@ -90,21 +90,22 @@ def _provenance(*paths) -> dict[str, str]:
     return {str(p): io.file_digest(p) for p in paths}
 
 
-def _side_to_d(side: int) -> int:
+def _side_to_d(mat) -> int:
+    side = mat.shape[0]
     d = round(side**0.5)
-    if d * d != side or d < 2:
-        raise FileFormatError(f"matrix side {side} is not d^2 for a system dimension d >= 2")
+    if mat.shape != (side, side) or d * d != side or d < 2:
+        raise FileFormatError(f"matrix of shape {mat.shape} is not d^2 x d^2 for a system dimension d >= 2")
     return d
 
 
 def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
     mat = io.read_matrix(path)
-    return superchannels.validate_super_gram(mat, _side_to_d(mat.shape[0]), tol=tol)
+    return superchannels.validate_super_gram(mat, _side_to_d(mat), tol=tol)
 
 
 def cmd_gram_validate(args) -> Report:
     mat = io.read_matrix(args.file)
-    _side_to_d(mat.shape[0])  # the block check needs a side of d^2
+    _side_to_d(mat)  # the block check needs a side of d^2
     checks = measure(mat, superchannels.SUPER_GRAM_CHECKS, args.tol)
     return Report(checks=list(checks), provenance=_provenance(args.file))
 
@@ -196,7 +197,7 @@ def cmd_ppt(args) -> Report:
     if args.dims:
         dims = tuple(args.dims)
     else:
-        d = _side_to_d(mat.shape[0])
+        d = _side_to_d(mat)
         dims = (d, d)
     value = memory.ppt_min_eig(mat, dims, tol=args.tol)
     report = Report(kind="value", value=value, provenance=_provenance(args.file))

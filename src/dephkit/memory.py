@@ -13,8 +13,8 @@ loses accuracy, by one factorization of the matrix and the eigenbasis of a
 unitary. A matrix whose block diagonals are constant only to within the
 tolerance is certified from their average, and one that the closed form does
 not fit within the tolerance is refused. A one-parameter qutrit family with
-its controlled-unitary realization and a bundled experimental qubit matrix
-round out the module.
+the controlled-unitary realization of any valid Gram matrix, and a bundled
+experimental qubit matrix round out the module.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_TOL,
     Check,
     as_complex_matrix,
-    basis_vector,
     check_tol,
     enforce,
     hermitize,
@@ -43,7 +42,7 @@ from .linalg import (
     psd_factors,
     require,
 )
-from .superchannels import ControlledUnitaryFamily, SuperGram, controlled_unitary_family, validate_super_gram
+from .superchannels import ControlledUnitaryFamily, SuperGram, _realize, validate_super_gram
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -407,7 +406,7 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
 
 
 # ---------------------------------------------------------------------------
-# Qutrit family with an explicit controlled-unitary realization
+# Qutrit family and its controlled-unitary realization
 # ---------------------------------------------------------------------------
 
 
@@ -439,58 +438,14 @@ def family_ppt_closed_form(alpha: complex, beta: complex, tol: float = DEFAULT_T
     return float(1.0 - np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2))
 
 
-def _permutation_on_second(d: int, a: int, b: int) -> np.ndarray:
-    """I_d ⊗ (transposition of basis states a and b) on the d*d memory."""
-    perm = np.eye(d, dtype=complex)
-    perm[[a, b]] = perm[[b, a]]
-    return kron(np.eye(d), perm)
-
-
-def _complete_unitary(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Fill the columns not pinned with an orthonormal basis of the pinned ones' complement.
-
-    The first len(columns) columns of Q in the Householder QR of [pinned | I]
-    span the pinned ones, so the rest complete them: no rank cutoff, and the
-    same constraints give identical matrices.
-    """
-    pinned = np.column_stack(list(columns.values()))
-    q, _ = np.linalg.qr(np.column_stack([pinned, np.eye(dim)]))
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, list(columns)] = pinned
-    u[:, [c for c in range(dim) if c not in columns]] = q[:, len(columns) :]
-    return u
-
-
 def family_realization(
     alpha: complex, beta: complex, tol: float = DEFAULT_TOL
 ) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
     """Controlled-unitary circuit whose Gram matrix is family_gram(alpha, beta),
-    each unitary checked within tol.
-
-    The pre-processing family permutes the memory so the k-th branch prepares
-    |0 k>; the post-processing family maps the prepared states onto the vector
-    system {psi_ik}: all products |i k> except psi_10 and psi_20, which mix in
-    the alpha and beta couplings. Columns not pinned by those mappings are
-    completed deterministically. A parameter that _check_disk lets lie up to
-    tol outside the unit disk is scaled back onto it before it is pinned.
+    each unitary checked within tol: the general construction of any valid
+    Gram matrix (``superchannels._realize``), applied to the family's matrix.
     """
-    alpha, beta = (z / max(abs(z), 1.0) for z in _check_disk(alpha, beta, tol))
-    d = 3
-
-    def e(a: int, b: int) -> np.ndarray:
-        return basis_vector(a * d + b, d * d)
-
-    pre = controlled_unitary_family(
-        [np.eye(9, dtype=complex), _permutation_on_second(d, 0, 1), _permutation_on_second(d, 0, 2)],
-        tol=tol,
-    )
-
-    psi_10 = np.conj(alpha) * e(0, 2) + np.sqrt(max(1 - abs(alpha) ** 2, 0.0)) * e(1, 0)
-    psi_20 = np.conj(beta) * e(0, 0) + np.sqrt(max(1 - abs(beta) ** 2, 0.0)) * e(2, 0)
-    v1 = _complete_unitary({0: psi_10, 1: e(1, 1), 2: e(1, 2)}, 9)
-    v2 = _complete_unitary({0: psi_20, 1: e(2, 1), 2: e(2, 2)}, 9)
-    post = controlled_unitary_family([np.eye(9, dtype=complex), v1, v2], tol=tol)
-    return pre, post
+    return _realize(family_gram(alpha, beta, tol), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ A dephasing superchannel leaves every channel's classical action invariant
 and acts on Jamiolkowski states by a Schur product with a Gram matrix whose
 d x d diagonal blocks all coincide. This module validates such matrices,
 applies them to channels, constructs them from controlled-unitary circuits
-and from general encode/decode simulations, verifies when an encode/decode
+and from general encode/decode simulations, realizes any valid matrix by a
+controlled-unitary circuit (``_realize``), verifies when an encode/decode
 pair realizes one, and provides a brute-force full-circuit oracle.
 
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
 
 Realization engine. Each entry point checks the memory state tau once, as
-a "memory state" through ``enforce``: "hermitian", "unit-trace" and "psd"
-at the caller's tol (DEFAULT_TOL in simulation_tensor, which takes none).
-The same ``psd_factors`` call gives S with S S† = tau.
+a "memory state", by the check of ``density_matrix``: "hermitian",
+"unit-trace" and "psd" at the caller's tol (DEFAULT_TOL in simulation_tensor,
+which takes none), whose ``psd_factors`` call gives S with S S† = tau.
 With a_c and b_c the encoder's and decoder's Kraus tensors ([sys_out,
 mem_out, sys_in, mem_in], stacked over c by ``kraus_tensors``, so c stays
 first) and M the middle memory's dimension, every contraction reads two
@@ -33,24 +34,24 @@ written r and t below:
 The four realization checks never build D or E. Each quantity they read is
 one product of the folded tensors, over all Kraus operators at once:
 
-    Tr_mem N_en(|m><n| ⊗ tau), one d^2 x d^2 product summed over (g, r)
+    the matched rows D[(i,i,j,j),:] and the matched columns E[k,:,k,l,:,l]
     sigma_m = Tr_sys N_en(|m><m| ⊗ tau), batched over m
+    Tr_mem N_en(|m><n| ⊗ tau), one d^2 x d^2 product summed over (g, r)
     Tr_mem N_de(|p><q| ⊗ sigma_m), batched over m
-    the Gram entries R[(i,i,j,j),(k,k,l,l)], from the matched rows
-        D[(i,i,j,j),:] and the matched columns E[k,:,k,l,:,l]
 
-The first three skip exact zeros. If x[k,g,m,r] is exactly 0.0 wherever
-k != m, as in every system-controlled encoder, each entry of
-Tr_mem N_en(|m><n| ⊗ tau) off (k, l) == (m, n) is a sum of products with an
-exact-zero factor. So encoder-dephasing reads 0.0 without that product, the
-matched entries are the product of the d rows with k == m, and sigma_m is
-block (m, m) of the matched columns of E. Likewise, if b[i,t,p,g] is exactly
-0.0 wherever i != p, decoder-dephasing reads 0.0 and only the d rows with
-i == p are multiplied by sigma_m. With c the decoder's Kraus rank and d^2
-memory levels on both of its sides, that takes the decoder's images
-Tr_mem N_de(|p><q| ⊗ sigma_m) from 2c d^9 multiply-adds to about c d^8.
-The test is exact, not a tolerance: a single unmatched entry of 1e-200
-takes the full product. It reads each tensor once.
+The Gram entries R[(i,i,j,j),(k,k,l,l)] are the product of the matched rows
+and columns, and the marginals they must reproduce come from the same two:
+c_en sums the matched columns over g == h, and c_de contracts the matched
+rows with sigma_m. The last two products serve only the dephasing checks,
+and both skip exact zeros. If x[k,g,m,r] is exactly 0.0 wherever k != m,
+as in every system-controlled encoder, each entry of Tr_mem N_en(|m><n| ⊗
+tau) off (k, l) == (m, n) is a sum of products with an exact-zero factor. So encoder-dephasing reads 0.0 without that product, and
+sigma_m is block (m, m) of the matched columns. Likewise, if b[i,t,p,g] is
+exactly 0.0 wherever i != p, decoder-dephasing reads 0.0 without the
+decoder's images: 2c d^9 multiply-adds, with c its Kraus rank and d^2
+memory levels on both of its sides. The test is exact, not a tolerance: a
+single unmatched entry of 1e-200 takes the full product. It reads each
+tensor once.
 
 The fifth check, simulation-mismatch, is the largest |R| off the matched
 index tuples. It needs R only when the first two checks read a nonzero
@@ -80,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
+from .channels import Channel, _state_factor, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
 from .errors import DimensionError, NotDephasingRealizationError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -89,7 +90,6 @@ from .linalg import (
     basis_matrix,
     basis_vector,
     dagger,
-    enforce,
     kron,
     max_abs,
     measure,
@@ -203,6 +203,30 @@ def gram_from_controlled_unitaries(
     return validate_super_gram(overlaps.T, d, tol=tol)
 
 
+def _polar(m: np.ndarray) -> np.ndarray:
+    """The unitary polar factor u vh of each matrix of a stack, from one SVD."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def _realize(sg: SuperGram, tol: float) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
+    """Families whose gram_from_controlled_unitaries is sg, each unitary checked within tol.
+
+    With sg.mat = S S†, psi_(i,k) row (i, k) of S padded to d^2 entries and
+    Psi_i the matrix of columns psi_(i,k): U_k = polar(psi_(0,k) e_0†) takes
+    |0> to the unit vector psi_(0,k), and V_i = polar(Psi_i Psi_0†) takes
+    Psi_0 to Psi_i, as some unitary does, since equal diagonal blocks say
+    Psi_i† Psi_i = Psi_0† Psi_0.
+    """
+    d = sg.d
+    s = psd_factors(sg.mat)[1]
+    psi = np.zeros((d, d * d, d), dtype=complex)  # psi[i, :, k] = psi_(i,k)
+    psi[:, : s.shape[1]] = s.reshape(d, d, -1).transpose(0, 2, 1)
+    prep = np.zeros((d, d * d, d * d), dtype=complex)
+    prep[:, :, 0] = psi[0].T
+    return tuple(controlled_unitary_family(_polar(m), tol) for m in (prep, psi @ dagger(psi[0])))
+
+
 def random_super_gram(d: int, seed: int) -> SuperGram:
     """Random valid SuperGram from Haar-random controlled-unitary families."""
     return gram_from_controlled_unitaries(
@@ -255,7 +279,6 @@ def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChan
 
 def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> np.ndarray:
     """S with S S† = tau, once the triple's dimensions agree and tau is a state within tol."""
-    tau = as_complex_matrix(tau)
     d = enc.sys_in
     if enc.sys_out != d or dec.sys_in != d or dec.sys_out != d:
         raise DimensionError("encoder and decoder must preserve the system dimension d")
@@ -263,13 +286,9 @@ def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float
         raise DimensionError(f"system dimension must be >= 2, got d={d}")
     if dec.mem_in != enc.mem_out:
         raise DimensionError(f"decoder memory input {dec.mem_in} != encoder memory output {enc.mem_out}")
-    if tau.shape != (enc.mem_in, enc.mem_in):
-        raise DimensionError(f"memory state shape {tau.shape} != ({enc.mem_in}, {enc.mem_in})")
-    checks = measure(tau, ("hermitian", "unit-trace"), tol)
-    lam_min, s = psd_factors(tau)
-    for c in checks + (Check("psd", -lam_min, tol),):
-        enforce(c, "memory state")
-    return s
+    if np.shape(tau) != (enc.mem_in, enc.mem_in):
+        raise DimensionError(f"memory state shape {np.shape(tau)} != ({enc.mem_in}, {enc.mem_in})")
+    return _state_factor(tau, tol, "memory state")[1]
 
 
 def _folded(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +381,10 @@ class RealizationReport:
     lies within tol of the worst, so rounding never picks among exact ties.
 
     Every quantity of those four checks is a contraction of the Kraus
-    tensors. Where the encoder's (decoder's) Kraus tensors are exactly zero
-    off equal system input and output, as in every system-controlled
-    circuit, encoder-dephasing (decoder-dephasing) reads exactly 0.0 without
+    tensors; c_en and c_de come from the products that give gram_entries.
+    Where the encoder's (decoder's) Kraus tensors are exactly zero off equal
+    system input and output, as in every system-controlled circuit,
+    encoder-dephasing (decoder-dephasing) reads exactly 0.0 without
     multiplying those zeros (module docstring), the value the full product
     gives. Only when the four checks pass does ``checks`` hold a fifth,
     simulation-mismatch: the largest entry of the simulation tensor off the
@@ -399,30 +419,25 @@ def _unmatched(rows: np.ndarray, d: int) -> np.ndarray:
     return rows[1:].reshape(d - 1, d + 1, -1)[:, :d]
 
 
-def _encoder_leakage(x: np.ndarray, lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """c_en, the sigma_m and the encoder-dephasing value, multiplying every row of lhs (x as [(k,m),(g,c,r)])."""
+def _encoder_leakage(x: np.ndarray, lhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The sigma_m and the encoder-dephasing value, multiplying every row of lhs (x as [(k,m),(g,c,r)])."""
     _, d, mem = x.shape[:3]
     reduced = lhs @ dagger(lhs)
+    reduced[:: d + 1, :: d + 1] = 0.0
     rows = x.transpose(3, 2, 1, 0, 4).reshape(d, mem, -1)  # [m,g,(k,c,r)]
-    sigma = rows @ dagger(rows)
-    matched = reduced[:: d + 1, :: d + 1]
-    c_en = matched.copy()
-    matched[...] = 0.0
-    return c_en, sigma, max_abs(reduced)
+    return rows @ dagger(rows), max_abs(reduced)
 
 
-def _decoder_leakage(rows: np.ndarray, sigma: np.ndarray, tol: float) -> tuple[np.ndarray, float, str]:
-    """c_de, the decoder-dephasing value and its detail, multiplying every row of rows (b as [(i,p),(c,t,g)])."""
+def _decoder_leakage(rows: np.ndarray, sigma: np.ndarray, tol: float) -> tuple[float, str]:
+    """The decoder-dephasing value and its detail, multiplying every row of rows (b as [(i,p),(c,t,g)])."""
     d, mem = sigma.shape[:2]
     rows_sigma = (rows.reshape(-1, mem) @ sigma).reshape(d, d * d, -1)  # [m,(i,p),(c,t,h)]
     images = rows_sigma @ dagger(rows)
-    matched = images[:, :: d + 1, :: d + 1]
-    c_de = matched.copy()
-    matched[...] = 0.0
+    images[:, :: d + 1, :: d + 1] = 0.0
     worst = np.abs(images).reshape(d, -1).max(axis=1)
     violation = float(worst.max())
     worst_m = int(np.argmax(worst >= violation - tol))
-    return c_de, violation, f"worst conditional memory index m={worst_m}" if violation > 0.0 else ""
+    return violation, f"worst conditional memory index m={worst_m}" if violation > 0.0 else ""
 
 
 def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
@@ -435,34 +450,29 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
     # sigma_m[g, h] = Tr_sys N_en(|m><m| ⊗ tau)[g, h]. Matched columns of E:
     # enc_matched[(k,g),(l,h)] = N_en(|k><l| ⊗ tau)[(k,g),(l,h)].
     lhs = np.einsum("ckgkr->kgcr", x).reshape(d * mem, -1)  # [(k,g),(c,r)]
-    enc_matched = lhs @ dagger(lhs)
+    enc_matched = (lhs @ dagger(lhs)).reshape(d, mem, d, mem)
     lhs = x.transpose(1, 3, 2, 0, 4).reshape(d * d, -1)  # [(k,m),(g,c,r)]
     if _unmatched(lhs, d).any():
-        c_en, sigma, enc_violation = _encoder_leakage(x, lhs)
-    else:
-        # Exact zeros off k == m: reduced vanishes there, and sigma_m is block (m, m) of enc_matched.
-        on = lhs[:: d + 1]
-        c_en, enc_violation = on @ dagger(on), 0.0
-        sigma = np.einsum("mgmh->mgh", enc_matched.reshape(d, mem, d, mem))
+        sigma, enc_violation = _encoder_leakage(x, lhs)
+    else:  # exact zeros off k == m: reduced vanishes there, and sigma_m is block (m, m) of enc_matched
+        sigma, enc_violation = np.einsum("mgmh->mgh", enc_matched), 0.0
 
     # Decoder: images[m,(i,p),(j,q)] = Tr_mem N_de(|p><q| ⊗ sigma_m)[i, j]
-    # must vanish off (i, j) == (p, q). Matched rows of D:
-    # dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
+    # must vanish off (i, j) == (p, q); exact zeros off i == p make it so.
+    # Matched rows of D: dec_matched[(i,g),(j,h)] = Tr_mem N_de(|i><j| ⊗ |g><h|)[i, j].
     rows = b.transpose(1, 3, 0, 2, 4).reshape(d * d, -1)  # [(i,p),(c,t,g)]
-    if _unmatched(rows, d).any():
-        c_de, dec_violation, dec_detail = _decoder_leakage(rows, sigma, tol)
-    else:
-        # Exact zeros off i == p: only the matched images, c_de[m] = images[m,(i,i),(j,j)], are nonzero.
-        on = rows[:: d + 1].reshape(-1, mem)  # [(i,c,t),g]
-        c_de = (on @ sigma).reshape(d, d, -1) @ dagger(on.reshape(d, -1))
-        dec_violation, dec_detail = 0.0, ""
+    dec_violation, dec_detail = _decoder_leakage(rows, sigma, tol) if _unmatched(rows, d).any() else (0.0, "")
     rows = np.einsum("citig->igct", b).reshape(d * mem, -1)  # [(i,g),(c,t)]
     dec_matched = rows @ dagger(rows)
 
+    # c_en[k,l] = sum_g enc_matched[(k,g),(l,g)] = reduced[(k,k),(l,l)], and
+    # c_de[m,i,j] = sum_gh dec_matched[(i,g),(j,h)] sigma_m[g,h] = images[m,(i,i),(j,j)].
     # Gram entries [(i,k),(j,l)] = R[(i,i,j,j),(k,k,l,l)]
     #   = sum_gh dec_matched[(i,g),(j,h)] enc_matched[(k,g),(l,h)].
+    c_en = enc_matched.trace(axis1=1, axis2=3)
     dec_matched = dec_matched.reshape(d, mem, d, mem).transpose(0, 2, 1, 3).reshape(d * d, mem * mem)
-    enc_matched = enc_matched.reshape(d, mem, d, mem).transpose(1, 3, 0, 2).reshape(mem * mem, d * d)
+    c_de = (sigma.reshape(d, -1) @ dec_matched.T).reshape(d, d, d)
+    enc_matched = enc_matched.transpose(1, 3, 0, 2).reshape(mem * mem, d * d)
     gram_entries = dec_matched @ enc_matched  # [(i,j),(k,l)]
     gram_entries = gram_entries.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 

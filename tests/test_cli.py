@@ -126,11 +126,11 @@ def test_matrix_dimensions_out_of_range_are_a_parse_error(capsys, tmp_path, comm
     _assert_parse_error(capsys, [command, path])
 
 
-@pytest.mark.parametrize("side", [0, 3, 5])
+@pytest.mark.parametrize("side", [0, 3, 5, pytest.param((4, 2), id="4x2")])
 @pytest.mark.parametrize("command", ["gram-validate", "apply", "memory-activity", "memory-decompose", "ppt"])
 def test_gram_file_whose_side_is_not_d_squared_is_a_parse_error(capsys, tmp_path, command, side):
     path = tmp_path / "side.json"
-    write_matrix(path, np.eye(side))
+    write_matrix(path, np.eye(*side) if isinstance(side, tuple) else np.eye(side))
     channel = tmp_path / "channel.json"
     write_channel(channel, random_channel(2, 2, seed=3))
     _assert_parse_error(capsys, [command] + ([channel] if command == "apply" else []) + [path])
@@ -253,9 +253,18 @@ def test_family_realize_residual(capsys):
     assert res["value"] <= 1e-9
 
 
+def test_family_realization_file_reads_back_to_the_family_matrix(capsys, tmp_path):
+    pair, recon, direct = (tmp_path / name for name in ("pair.json", "recon.json", "family.json"))
+    params = ["--alpha", "0.8", "--beta", "0.5j"]
+    assert main(["family", *params, "--realize", "--out", str(pair)]) == 0
+    assert main(["gram-from-unitaries", str(pair), "--out", str(recon)]) == 0
+    assert main(["family", *params, "--out", str(direct)]) == 0
+    assert max_abs(read_matrix(recon) - read_matrix(direct)) <= 1e-12
+
+
 @pytest.mark.parametrize("tol,code", [(None, 0), ("2e-16", 1)])
 def test_family_checks_its_unitaries_at_the_tol_flag(capsys, tol, code):
-    # The completed unitaries of the realization are unitary to 4.4e-16.
+    # The unitaries of the realization are unitary to 6.7e-16.
     argv = ["family", "--alpha", "0.8", "--beta", "0.5j", "--realize", *(("--tol", tol) if tol else ())]
     assert main(argv) == code
     assert ("deviation from unitarity" in capsys.readouterr().err) == (code == 1)

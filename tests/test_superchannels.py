@@ -14,6 +14,7 @@ from dephkit import (
     classical_action,
     controlled_unitary_channel,
     controlled_unitary_family,
+    family_gram,
     gram_from_controlled_unitaries,
     gram_from_simulation,
     jamiolkowski,
@@ -36,7 +37,7 @@ from dephkit.linalg import (
 )
 from dephkit import superchannels
 from dephkit.superchannels import simulation_tensor
-from dephkit.memory import nmr_experimental_gram
+from dephkit.memory import NMR_VALIDATION_TOL, nmr_experimental_gram
 from reference import (
     identity_bipartite,
     identity_channel,
@@ -221,6 +222,74 @@ def test_controlled_family_rejects_non_unitary():
     bad[0, 0] = 0.5
     with pytest.raises(ValidationError):
         controlled_unitary_family([np.eye(4, dtype=complex), bad])
+
+
+# ---------------------------------------------------------------------------
+# realization of any valid Gram matrix
+# ---------------------------------------------------------------------------
+
+
+def realized(kind, d, arg):
+    """One valid matrix of each kind, its tol, and its _realize families."""
+    if kind == "random":
+        sg, tol = random_super_gram(d, arg), DEFAULT_TOL
+    elif kind == "family":
+        sg, tol = family_gram(*arg), DEFAULT_TOL
+    elif kind == "nmr":
+        sg, tol = nmr_experimental_gram(), NMR_VALIDATION_TOL
+    else:
+        block = np.ones((d, d)) if kind == "ones" else np.eye(d)
+        sg, tol = validate_super_gram(np.kron(np.ones((d, d)), block), d), DEFAULT_TOL
+    return sg, tol, superchannels._realize(sg, tol)
+
+
+REALIZE_INPUTS = [
+    pytest.param(*case, id="-".join(map(str, case)))
+    for case in [("random", d, seed) for d in (2, 3, 4, 5) for seed in range(3)]
+    + [("family", 3, ab) for ab in [(1, 1), (1, 0), (0.8, 0.5j), (0, 0)]]
+    + [("nmr", 2, None)]
+    + [(kind, d, None) for kind in ("ones", "ones-eye") for d in (2, 3, 4, 5)]
+]
+
+
+@pytest.mark.parametrize("kind,d,arg", REALIZE_INPUTS)
+def test_realize_round_trips_with_exact_unitaries(kind, d, arg):
+    sg, tol, (pre, post) = realized(kind, d, arg)
+    assert max(measure(u, ("unitary",), tol)[0].value for f in (pre, post) for u in f.unitaries) <= 1e-14
+    assert max_abs(gram_from_controlled_unitaries(pre, post, tol).mat - sg.mat) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,d,arg", REALIZE_INPUTS)
+def test_realized_circuit_simulates_its_matrix(kind, d, arg):
+    sg, tol, families = realized(kind, d, arg)
+    enc, dec = map(controlled_unitary_channel, families)
+    simulated = gram_from_simulation(enc, dec, pure_memory_state(d * d), tol)
+    assert max_abs(simulated.mat - sg.mat) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,d,arg", [p for p in REALIZE_INPUTS if p.values[1] <= 3])
+def test_realized_circuit_matches_apply_super(kind, d, arg):
+    sg, tol, families = realized(kind, d, arg)
+    enc, dec = map(controlled_unitary_channel, families)
+    for seed in range(2):
+        ch = random_channel(d, 2, seed)
+        via_circuit = circuit_oracle(enc, dec, pure_memory_state(d * d), ch, tol)
+        assert max_abs(jamiolkowski(apply_super(sg, ch, tol)) - jamiolkowski(via_circuit)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_realize_carries_a_diagonal_block_defect_over_unamplified(d, seed, delta):
+    # The realized circuit has equal diagonal blocks, so it can only miss the
+    # defect itself: it copies block (0, 0) into the last one.
+    mat = random_super_gram(d, seed).mat.copy()
+    a, b = (d - 1) * d, (d - 1) * d + 1
+    mat[a, b] += delta
+    mat[b, a] += delta
+    # the random blocks are equal only to rounding, so the defect reads delta + O(eps)
+    sg = validate_super_gram(mat, d, tol=2 * delta)
+    pre, post = superchannels._realize(sg, 2 * delta)
+    assert max_abs(gram_from_controlled_unitaries(pre, post, 2 * delta).mat - sg.mat) <= delta + 1e-14
 
 
 # ---------------------------------------------------------------------------
