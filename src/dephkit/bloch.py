@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_channel
+from .channels import Channel, _psd_factor, apply_channel
 from .errors import DimensionError
 from .linalg import DEFAULT_TOL, as_complex_matrix, readonly_copy, require
 from .superchannels import SuperGram
@@ -113,12 +113,11 @@ def gram_action_on_affine(sg: SuperGram, a: AffineMap, tol: float = DEFAULT_TOL)
 
     Routes through the Jamiolkowski form, Schur-multiplies with the Gram
     matrix, and extracts the transformed (Lambda, t). The intermediate matrix
-    must be a valid Jamiolkowski state, which holds exactly when the input
-    map is CP-TP.
+    must pass "hermitian", "jamiolkowski-tp" and "psd" within tol, as a
+    Jamiolkowski state does exactly when the input map is CP-TP.
     """
     if sg.d != 2:
         raise DimensionError(f"affine action is defined for qubit superchannels, got d={sg.d}")
     jam_out = jamiolkowski_from_affine(a) * sg.mat
-    checks = ("jamiolkowski-hermitian", "jamiolkowski-psd", "jamiolkowski-tp")
-    require(jam_out, checks, tol, "transformed matrix")
+    _psd_factor(jam_out, ("hermitian", "jamiolkowski-tp"), tol, "transformed matrix")
     return affine_from_jamiolkowski(jam_out)

@@ -28,19 +28,19 @@ from .linalg import (
 )
 
 
-def _state_factor(mat, tol: float, subject: str) -> tuple[np.ndarray, np.ndarray]:
-    """rho and S with S S† = rho, once "hermitian", "unit-trace" and "psd" (-λ_min of
-    the ``psd_factors`` call that gives S) hold within tol; the first failure is raised for subject."""
-    rho = as_complex_matrix(mat)
-    require(rho, ("hermitian", "unit-trace"), tol, subject)
-    lam_min, s = psd_factors(rho)
+def _psd_factor(mat, checks: tuple[str, ...], tol: float, subject: str) -> tuple[np.ndarray, np.ndarray]:
+    """M and S with S S† = M, once the side checks and "psd" (-λ_min of the ``psd_factors``
+    call that gives S) hold within tol; the first failure is raised for subject."""
+    m = as_complex_matrix(mat)
+    require(m, checks, tol, subject)
+    lam_min, s = psd_factors(m)
     enforce(Check("psd", -lam_min, tol), subject)
-    return rho, s
+    return m, s
 
 
 def density_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace and PSD within tol."""
-    return _state_factor(mat, tol, "state")[0]
+    return _psd_factor(mat, ("hermitian", "unit-trace"), tol, "state")[0]
 
 
 @dataclass(frozen=True)
@@ -94,24 +94,31 @@ def jamiolkowski(ch: Channel) -> np.ndarray:
     return reshuffle(superop_from_kraus(ch), d) / d
 
 
-def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
-    """Recover Kraus operators from a Jamiolkowski state by eigendecomposition.
-
-    tol applies on the scale of J: eigenvalues of J below -tol signal a
-    non-CP map and are rejected. One Kraus operator is kept per Choi
-    eigenvalue above the rank cutoff of ``psd_factors``, so negatives within
-    tol are dropped, and trace preservation is checked as
-    max |Tr_1 J - I/d| <= tol, which is sum K†K within d*tol of the identity.
-    """
+def _channel_from_jamiolkowski(jam, tol: float, subject: str) -> Channel:
+    """channel_from_jamiolkowski, its refusals raised for subject."""
     jam = as_complex_matrix(jam)
     side = jam.shape[0]
     d = round(side**0.5)
     if jam.shape != (side, side) or d * d != side or d < 1:
         raise DimensionError(f"Jamiolkowski matrix must be d^2 x d^2 with d >= 1, got {jam.shape}")
-    lam_min, factors = psd_factors(d * jam)
-    enforce(Check("cp", -lam_min, d * tol), "Jamiolkowski matrix", "smallest eigenvalue of d·J lies below 0 by")
-    ops = [f.reshape(d, d) for f in factors.T] or [np.zeros((d, d), dtype=complex)]
+    s = _psd_factor(jam, ("hermitian", "jamiolkowski-tp"), tol, subject)[1]
+    ops = [np.sqrt(d) * f.reshape(d, d) for f in s.T] or [np.zeros((d, d), dtype=complex)]
     return channel_from_kraus(ops, tol=d * tol)
+
+
+def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
+    """Recover Kraus operators from a Jamiolkowski state by eigendecomposition.
+
+    J is a channel's state when "hermitian", "jamiolkowski-tp" (max |Tr_1 J - I/d|)
+    and "psd" (-λ_min of J) hold within tol, checked in that order; the first
+    failure raises ValidationError. J = S S† by ``psd_factors``, which keeps one
+    column f of S per eigenvalue above its rank cutoff, so negatives within tol
+    are dropped, and each f gives the Kraus operator sqrt(d)·f as a d x d
+    matrix. Then sum K†K - I is d·(Tr_1 J - I/d) transposed, for J less its
+    dropped eigenvalues, and the Channel's "trace-preserving" check is held
+    to d·tol.
+    """
+    return _channel_from_jamiolkowski(jam, tol, "Jamiolkowski matrix")
 
 
 @dataclass(frozen=True)

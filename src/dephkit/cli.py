@@ -194,11 +194,9 @@ def cmd_memory_decompose(args) -> Report:
 
 def cmd_ppt(args) -> Report:
     mat = io.read_matrix(args.file)
-    if args.dims:
-        dims = tuple(args.dims)
-    else:
-        d = _side_to_d(mat)
-        dims = (d, d)
+    if mat.shape[0] != mat.shape[1]:
+        raise FileFormatError(f"matrix of shape {mat.shape} is not square")
+    dims = tuple(args.dims) if args.dims else (_side_to_d(mat),) * 2
     value = memory.ppt_min_eig(mat, dims, tol=args.tol)
     report = Report(kind="value", value=value, provenance=_provenance(args.file))
     report.add("partial transpose smallest eigenvalue (separability test)", value)

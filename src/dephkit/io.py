@@ -2,9 +2,10 @@
 
 Matrices travel as {"rows", "cols", "data"} with row-major [re, im] pairs.
 Channel files carry an explicit "kind" tag (kraus | jamiolkowski) plus
-dimensions; a bare matrix file is accepted as a fallback and classified by
-shape and a PSD/trace audit. Serialized floats use Python's shortest
-round-trip representation, so written matrices re-read bit-identically.
+dimensions; a bare matrix file is accepted as a fallback, as a Jamiolkowski
+state if ``channel_from_jamiolkowski`` accepts it. Serialized floats use
+Python's shortest round-trip representation, so written matrices re-read
+bit-identically.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
 from .errors import DephkitError, DimensionError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, require
+from .linalg import DEFAULT_TOL, as_complex_matrix
 from .superchannels import BipartiteChannel, bipartite_channel, controlled_unitary_family
 
 
@@ -124,7 +125,7 @@ def _channel_from_obj(obj, tol: float) -> Channel:
     kind = tag = obj.get("kind")
     if kind is None:
         # Fallback classification: a Kraus list without a tag, or a bare
-        # matrix that passes a Jamiolkowski PSD/trace audit. Neither declares
+        # matrix that channel_from_jamiolkowski accepts. Neither declares
         # its dimensions.
         if "kraus" in obj:
             kind = "kraus"
@@ -143,14 +144,11 @@ def _channel_from_obj(obj, tol: float) -> Channel:
             if tag is not None:
                 d = _dimension(obj, "dim")
                 _declared((mat,), (d * d, d * d))
-            else:
-                try:
-                    require(mat, ("hermitian", "psd", "jamiolkowski-tp"), tol, "J")
-                except ValidationError as exc:
-                    raise FileFormatError(
-                        f"untagged matrix failed the Jamiolkowski PSD/trace audit ({exc}); tag the file"
-                    ) from exc
-            return channel_from_jamiolkowski(mat, tol=tol)
+                return channel_from_jamiolkowski(mat, tol=tol)
+            try:
+                return channel_from_jamiolkowski(mat, tol=tol)
+            except ValidationError as exc:
+                raise FileFormatError(f"untagged matrix is not a Jamiolkowski state ({exc}); tag the file") from exc
     except DimensionError as exc:
         raise FileFormatError(f"{kind} channel file: {exc}") from exc
     raise FileFormatError(f"unknown channel kind {kind!r}")

@@ -180,10 +180,6 @@ _CHECKS = {
     "unitary": (lambda u: _kraus_tp((u,)), "deviation from unitarity is"),  # u†u = I
     "finite-entries": (lambda m: np.count_nonzero(~np.isfinite(m)), "count of NaN or Inf entries is"),
 }
-# The same invariants, named for the transformed Jamiolkowski states they are checked on.
-_CHECKS["jamiolkowski-hermitian"] = _CHECKS["hermitian"]
-_CHECKS["jamiolkowski-psd"] = _CHECKS["psd"]
-_CHECKS["superchannel-output-tp"] = _CHECKS["jamiolkowski-tp"]
 
 
 class Check(NamedTuple):

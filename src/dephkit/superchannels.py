@@ -81,8 +81,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, _state_factor, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
-from .errors import DimensionError, NotDephasingRealizationError, ValidationError
+from .channels import Channel, _channel_from_jamiolkowski, _psd_factor, channel_from_kraus, jamiolkowski
+from .errors import DimensionError, NotDephasingRealizationError
 from .linalg import (
     DEFAULT_TOL,
     Check,
@@ -139,18 +139,13 @@ def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
 
 
 def apply_super(sg: SuperGram, ch: Channel, tol: float = DEFAULT_TOL) -> Channel:
-    """Transform a channel by Schur-multiplying its Jamiolkowski state with the Gram matrix."""
+    """Transform a channel by Schur-multiplying its Jamiolkowski state with the Gram matrix,
+    a "transformed channel" refused as channel_from_jamiolkowski refuses a matrix at tol."""
     if ch.dim_in != ch.dim_out or ch.dim_in != sg.d:
         raise DimensionError(
             f"channel dims ({ch.dim_in}->{ch.dim_out}) must equal the superchannel's d={sg.d}"
         )
-    jam_out = jamiolkowski(ch) * sg.mat
-    require(jam_out, ("superchannel-output-tp",), tol, "transformed channel")
-    try:
-        return channel_from_jamiolkowski(jam_out, tol=tol)
-    except ValidationError as exc:
-        record = exc.record._replace(name="superchannel-output-cp")
-        raise ValidationError(record, f"transformed channel failed CP validation: {exc}") from exc
+    return _channel_from_jamiolkowski(jamiolkowski(ch) * sg.mat, tol, "transformed channel")
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +265,11 @@ def bipartite_channel(
     return BipartiteChannel(sys_in, mem_in, sys_out, mem_out, inner)
 
 
-def controlled_unitary_channel(family: ControlledUnitaryFamily) -> BipartiteChannel:
-    """Unitary conjugation by sum_i |i><i| ⊗ U_i on system ⊗ d^2-dimensional memory."""
+def controlled_unitary_channel(family: ControlledUnitaryFamily, tol: float = DEFAULT_TOL) -> BipartiteChannel:
+    """Unitary conjugation by sum_i |i><i| ⊗ U_i on system ⊗ d^2-dimensional memory, TP within tol."""
     d = family.d
     u = sum(kron(basis_matrix(i, i, d), family.unitaries[i]) for i in range(d))
-    return bipartite_channel([u], (d, d * d, d, d * d))
+    return bipartite_channel([u], (d, d * d, d, d * d), tol)
 
 
 def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> np.ndarray:
@@ -288,7 +283,7 @@ def _memory_factor(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float
         raise DimensionError(f"decoder memory input {dec.mem_in} != encoder memory output {enc.mem_out}")
     if np.shape(tau) != (enc.mem_in, enc.mem_in):
         raise DimensionError(f"memory state shape {np.shape(tau)} != ({enc.mem_in}, {enc.mem_in})")
-    return _state_factor(tau, tol, "memory state")[1]
+    return _psd_factor(tau, ("hermitian", "unit-trace"), tol, "memory state")[1]
 
 
 def _folded(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -571,4 +566,4 @@ def circuit_oracle(
         for b in dec.inner.kraus
         for t in discard
     ]
-    return channel_from_kraus(kraus)
+    return channel_from_kraus(kraus, tol)

@@ -12,6 +12,7 @@ from dephkit import (
     DimensionError,
     ValidationError,
     apply_super,
+    bloch,
     channel_from_jamiolkowski,
     channel_from_kraus,
     controlled_unitary_family,
@@ -19,10 +20,14 @@ from dephkit import (
     density_matrix,
     family_gram,
     gram_action_on_affine,
+    jamiolkowski,
+    random_channel,
+    superchannels,
     validate_super_gram,
 )
 from dephkit.bloch import affine_map
-from dephkit.linalg import Check, enforce, measure, require
+from dephkit.io import FileFormatError, read_channel, write_matrix
+from dephkit.linalg import DEFAULT_TOL, Check, dagger, enforce, kron, measure, random_unitary, require
 from dephkit.superchannels import SUPER_GRAM_CHECKS
 from reference import gram_matrix, identity_channel
 
@@ -115,14 +120,14 @@ def _validator_failures():
         ("hermitian", lambda: density_matrix(skew / 4)),
         ("hermitian", lambda: gram_matrix(skew)),
         ("hermitian", lambda: validate_super_gram(skew, 2)),
-        ("jamiolkowski-hermitian", lambda: gram_action_on_affine(validate_super_gram(corner, 2, tol=10.0), identity)),
+        ("hermitian", lambda: gram_action_on_affine(validate_super_gram(corner, 2, tol=10.0), identity)),
         ("kraus-nonempty", lambda: channel_from_kraus([])),
-        ("cp", lambda: channel_from_jamiolkowski(-np.eye(4) / 4)),
+        ("psd", lambda: channel_from_jamiolkowski(np.diag([0.75, 0, -0.25, 0.5]))),
         (
-            "superchannel-output-cp",
+            "psd",
             lambda: apply_super(validate_super_gram(corner + corner.T - 1, 2, tol=10.0), identity_channel(2)),
         ),
-        ("superchannel-output-tp", lambda: apply_super(_bumped_corner(1e-3), identity_channel(2))),
+        ("jamiolkowski-tp", lambda: apply_super(_bumped_corner(1e-3), identity_channel(2))),
         ("unitary", lambda: controlled_unitary_family([2 * np.eye(4), np.eye(4)])),
         ("unit-disk", lambda: family_gram(1.2, 0)),
         ("passive-compatibility", lambda: decompose_product_qubit(validate_super_gram(CMAX, 2))),
@@ -150,6 +155,63 @@ def test_every_validation_error_carries_a_finite_value(check, call):
     assert not record.passed
     assert err.value.value is not None and math.isfinite(err.value.value)
     assert f"{record.value:.3e}" in str(err.value)
+
+
+def _defective_jamiolkowski(check):
+    """A qubit J whose first failing check, in the order hermitian, jamiolkowski-tp, psd, is check."""
+    jam = jamiolkowski(random_channel(2, 2, seed=3))
+    if check == "hermitian":
+        jam[0, 1] += 0.1
+        jam[1, 0] -= 0.1  # a skew defect of 0.2
+    elif check == "jamiolkowski-tp":
+        jam[0, 0] += 1e-3
+    else:
+        jam = np.diag([0.75, 0, -0.25, 0.5]).astype(complex)  # Tr_1 J = I/2 exactly, λ_min = -0.25
+    return jam
+
+
+@pytest.mark.parametrize("check", ["hermitian", "jamiolkowski-tp", "psd"])
+def test_every_jamiolkowski_site_refuses_with_the_same_record(check, tmp_path, monkeypatch):
+    """channel_from_jamiolkowski, apply_super, gram_action_on_affine and the untagged reader judge
+    one J alike. Both transformations are handed J itself: the all-ones Gram matrix leaves it as is."""
+    jam = _defective_jamiolkowski(check)
+    ones = validate_super_gram(np.ones((4, 4)), 2)
+    monkeypatch.setattr(superchannels, "jamiolkowski", lambda ch: jam)
+    monkeypatch.setattr(bloch, "jamiolkowski_from_affine", lambda a: jam)
+    records = []
+    for call in (
+        lambda: channel_from_jamiolkowski(jam),
+        lambda: apply_super(ones, identity_channel(2)),
+        lambda: gram_action_on_affine(ones, affine_map(np.eye(3), np.zeros(3))),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        records.append(err.value.record)
+    path = tmp_path / "bare.json"
+    write_matrix(path, jam)
+    with pytest.raises(FileFormatError) as err:
+        read_channel(path)
+    records.append(err.value.__cause__.record)
+    assert records == [Check(check, records[0].value, DEFAULT_TOL)] * 4
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_jamiolkowski_psd_trips_exactly_above_its_tolerance(d, tol):
+    """An exactly trace-preserving J with λ_min = -1.5·tol is refused, one at -0.5·tol accepted."""
+    rng = np.random.default_rng(d)
+    local = kron(random_unitary(d, rng), random_unitary(d, rng))  # keeps the spectrum and Tr_1 J = I/d
+    for factor in (1.5, 0.5):
+        diag = np.zeros((d, d))  # diag[a, c] = J[(a, c), (a, c)], each column summing to 1/d
+        diag[0], diag[1] = 1 / d + factor * tol, -factor * tol
+        jam = local @ np.diag(diag.ravel()) @ dagger(local)
+        if factor > 1:
+            with pytest.raises(ValidationError) as err:
+                channel_from_jamiolkowski(jam, tol=tol)
+            assert err.value.check == "psd"
+            assert err.value.value == pytest.approx(1.5 * tol, rel=1e-5)
+        else:
+            assert len(channel_from_jamiolkowski(jam, tol=tol).kraus) == d
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])

@@ -126,14 +126,25 @@ def test_matrix_dimensions_out_of_range_are_a_parse_error(capsys, tmp_path, comm
     _assert_parse_error(capsys, [command, path])
 
 
-@pytest.mark.parametrize("side", [0, 3, 5, pytest.param((4, 2), id="4x2")])
-@pytest.mark.parametrize("command", ["gram-validate", "apply", "memory-activity", "memory-decompose", "ppt"])
+SIDES = {"0": 0, "3": 3, "5": 5, "4x2": (4, 2)}
+
+
+@pytest.mark.parametrize(
+    "command,side",
+    [
+        pytest.param([command], side, id=f"{command}-{name}")
+        for command in ["gram-validate", "apply", "memory-activity", "memory-decompose", "ppt"]
+        for name, side in SIDES.items()
+    ]
+    # with --dims only a non-square file is a fault of the file
+    + [pytest.param(["ppt", "--dims", "2", "1"], (4, 2), id="ppt-dims-4x2")],
+)
 def test_gram_file_whose_side_is_not_d_squared_is_a_parse_error(capsys, tmp_path, command, side):
     path = tmp_path / "side.json"
     write_matrix(path, np.eye(*side) if isinstance(side, tuple) else np.eye(side))
     channel = tmp_path / "channel.json"
     write_channel(channel, random_channel(2, 2, seed=3))
-    _assert_parse_error(capsys, [command] + ([channel] if command == "apply" else []) + [path])
+    _assert_parse_error(capsys, command + ([channel] if command == ["apply"] else []) + [path])
 
 
 def test_bipartite_file_with_an_infinite_dimension_is_a_parse_error(capsys, tmp_path, realization_files):
@@ -532,6 +543,17 @@ def test_simulation_reads_encoders_at_the_tol_flag(capsys, realization_files, tm
         capsys.readouterr()
         assert main([command, str(dented), str(dec), str(tau)]) == 1
         assert "sum K†K deviates from identity by 1.000e-07" in capsys.readouterr().err
+
+
+def test_tagged_jamiolkowski_file_that_is_not_hermitian_is_refused(capsys, tmp_path):
+    # a skew defect of 0.2, which the psd factorization alone would hermitize and accept
+    jam = jamiolkowski(random_channel(2, 2, seed=3))
+    jam[0, 1] += 0.1
+    jam[1, 0] -= 0.1
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"kind": "jamiolkowski", "dim": 2, "matrix": matrix_to_obj(jam)}))
+    assert main(["bloch-affine", str(path)]) == 1
+    assert "hermitian is 2.000e-01" in capsys.readouterr().err.lower()
 
 
 @pytest.mark.parametrize("tol,code", [("1e-12", 2), ("1e-3", 0)])

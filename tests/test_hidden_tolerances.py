@@ -1,4 +1,5 @@
-"""No hidden tolerance: DEFAULT_TOL is read in the package only where a caller can override it."""
+"""No hidden tolerance: DEFAULT_TOL is read in the package only where a caller can override it,
+and every call of a package function that takes tol passes one."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,84 @@ def test_package_reads_default_tol_only_where_a_caller_can_override_it():
 )
 def test_gate_flags_every_other_read(filename, source, lines):
     assert hidden_tolerances(source, filename) == lines
+
+
+def _takes_tol(node) -> tuple[int | None, bool] | None:
+    """(index of tol among the positional parameters, or None if keyword-only; whether the
+    function is a method) for a FunctionDef with a tol parameter, else None."""
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+    if "tol" in positional:
+        return positional.index("tol"), positional[:1] == ["self"]
+    if "tol" in [a.arg for a in node.args.kwonlyargs]:
+        return None, False
+    return None
+
+
+def _passes_tol(call: ast.Call, index: int | None, method: bool) -> bool:
+    """Whether a call passes tol: by keyword, by **kwargs, by a starred argument, or in position."""
+    if any(kw.arg in ("tol", None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    implicit_self = method and isinstance(call.func, ast.Attribute)
+    return index is not None and len(call.args) > index - implicit_self
+
+
+def calls_without_tol(sources: dict[str, str]) -> dict[str, list[int]]:
+    """Per file, the lines where a function other than a random_* constructor calls a package
+    function that takes tol without passing one. Callees are matched by name, a method's
+    call through an attribute passing self implicitly."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    takes = {
+        node.name: sig
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (sig := _takes_tol(node))
+    }
+    found = {}
+    for name, tree in trees.items():
+        lines = set()
+        for caller in ast.walk(tree):
+            if not isinstance(caller, (ast.FunctionDef, ast.AsyncFunctionDef)) or caller.name.startswith("random_"):
+                continue
+            for call in ast.walk(caller):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if callee in takes and not _passes_tol(call, *takes[callee]):
+                    lines.add(call.lineno)
+        if lines:
+            found[name] = sorted(lines)
+    return found
+
+
+def test_every_call_of_a_function_that_takes_tol_passes_one():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert calls_without_tol(sources) == {}
+
+
+G = "def g(x, tol=1e-9):\n    return x\n"
+M = "class A:\n    def m(self, tol=1e-9):\n        return tol\n"
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        (G + "def f(x, tol):\n    return g(x)\n", [4]),
+        (G + "def f(x):\n    return g(x)\n", [4]),  # a caller that takes no tol hides the default
+        (G + "def f(x, tol):\n    return g(x, tol)\n", []),
+        (G + "def f(x, tol):\n    return g(x, tol=tol)\n", []),
+        (G + "def f(x, kw):\n    return m.g(x, **kw)\n", []),
+        (G + "def f(xs, tol):\n    return g(*xs, tol)\n", []),
+        (G + "def f(xs):\n    return g(*xs)\n", []),
+        (G + "def random_f(seed):\n    return g(seed)\n", []),
+        (G + "def f(x, tol):\n    return mod.g(x)\n", [4]),
+        (M + "def f(a, tol):\n    return a.m(tol)\n", []),
+        (M + "def f(a, tol):\n    return a.m()\n", [5]),
+        ("def h(x, *, tol):\n    return x\ndef f(x, tol):\n    return h(x)\n", [4]),
+        ("def h(x, *, tol):\n    return x\ndef f(x, tol):\n    return h(x, tol=tol)\n", []),
+        ("def f(x):\n    return print(x)\n", []),
+    ],
+)
+def test_call_gate_flags_every_call_that_drops_tol(source, lines):
+    assert calls_without_tol({"m.py": source}).get("m.py", []) == lines

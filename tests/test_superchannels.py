@@ -10,6 +10,7 @@ from dephkit import (
     ValidationError,
     apply_super,
     bipartite_channel,
+    channel_from_kraus,
     circuit_oracle,
     classical_action,
     controlled_unitary_channel,
@@ -153,7 +154,7 @@ def test_apply_super_checks_tp_at_the_callers_tol():
 def test_apply_super_tp_defect_above_tol_is_named():
     with pytest.raises(ValidationError) as err:
         apply_super(_dented_super_gram(), random_channel(2, 2, 5), tol=1e-8)
-    assert err.value.check == "superchannel-output-tp"
+    assert err.value.check == "jamiolkowski-tp"
     assert 1e-8 < err.value.value < 1e-6
 
 
@@ -349,6 +350,26 @@ def test_oracle_identity_cases():
     enc = dec = controlled_unitary_channel(fam)
     out = circuit_oracle(enc, dec, pure_memory_state(d * d), ch)
     assert max_abs(jamiolkowski(out) - jamiolkowski(ch)) < 1e-12
+
+
+def test_oracle_builds_its_output_at_the_callers_tol():
+    # sum K†K of the input channel is 1 + 5e-7: valid at tol 1e-6, and so is the circuit around it
+    ident = identity_bipartite(2, 2)
+    ch = channel_from_kraus([np.sqrt(1 + 5e-7) * np.eye(2)], tol=1e-6)
+    out = circuit_oracle(ident, ident, np.diag([1.0, 0.0]), ch, tol=1e-6)
+    assert max_abs(jamiolkowski(out) - jamiolkowski(ch)) < 1e-12
+    with pytest.raises(ValidationError) as err:
+        circuit_oracle(ident, ident, np.diag([1.0, 0.0]), ch, tol=1e-7)
+    assert err.value.check == "trace-preserving"
+
+
+def test_controlled_unitary_channel_is_built_at_the_callers_tol():
+    fam = controlled_unitary_family([np.sqrt(1 + 5e-7) * np.eye(4), np.eye(4)], tol=1e-6)
+    bc = controlled_unitary_channel(fam, tol=1e-6)
+    assert measure(bc.inner.kraus, ("trace-preserving",), 1e-6)[0].value == pytest.approx(5e-7, rel=1e-6)
+    with pytest.raises(ValidationError) as err:
+        controlled_unitary_channel(fam)
+    assert err.value.check == "trace-preserving"
 
 
 def test_oracle_with_mixed_memory_state():
