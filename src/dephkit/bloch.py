@@ -5,6 +5,10 @@ r -> Lambda r + t. The map need not be completely positive; the x-y plane
 projection, which the memory-activity analysis applies as a block-diagonal
 average, is the canonical example of a positive but non-CP map.
 
+Jamiolkowski matrices are read and written on one basis, B_jk = (s_j ⊗ conj(s_k)) / 4
+with s = (I, sigma_x, sigma_y, sigma_z): the coefficients of J on it are the map's Pauli
+transfer matrix. A channel's parameters are read from ``channels.jamiolkowski``.
+
 Sign conventions are anchored by the identity
 |Psi><Psi| = (I⊗I + s1⊗s1 - s2⊗s2 + s3⊗s3) / 4,
 which is pinned by a unit test.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _psd_factor, apply_channel
+from .channels import Channel, _psd_factor, jamiolkowski
 from .errors import DimensionError
 from .linalg import DEFAULT_TOL, as_complex_matrix, readonly_copy, require
 from .superchannels import SuperGram
@@ -27,6 +31,8 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 _I2 = np.eye(2, dtype=complex)
+_PAULI = np.array((_I2, *SIGMA))
+_BASIS = np.einsum("jab,kcd->jkacbd", _PAULI, _PAULI.conj()).reshape(4, 4, 4, 4) / 4
 
 
 @dataclass(frozen=True)
@@ -53,59 +59,33 @@ def affine_map(lam, t) -> AffineMap:
     )
 
 
-def _affine_from_action(action) -> AffineMap:
-    """Extract (Lambda, t) from a linear map given as a function on 2x2 matrices.
-
-    Columns of Lambda come from differences of the images of (I ± sigma_k)/2,
-    the translation from the image of I/2; exact by linearity.
-    """
-    t = np.array([np.trace(s @ action(_I2 / 2)).real for s in SIGMA])
-    lam = np.zeros((3, 3))
-    for k in range(3):
-        img = action((_I2 + SIGMA[k]) / 2) - action((_I2 - SIGMA[k]) / 2)
-        for j in range(3):
-            lam[j, k] = 0.5 * np.trace(SIGMA[j] @ img).real
-    return affine_map(lam, t)
-
-
 def affine_from_channel(ch: Channel) -> AffineMap:
     """Bloch-ball affine parameters of a trace-preserving qubit channel."""
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionError(f"affine form requires a qubit channel, got {ch.dim_in}->{ch.dim_out}")
-    return _affine_from_action(lambda x: apply_channel(ch, x))
+    return affine_from_jamiolkowski(jamiolkowski(ch))
 
 
 def jamiolkowski_from_affine(a: AffineMap) -> np.ndarray:
-    """Explicit 4x4 Jamiolkowski matrix of the affine map (u, v, w = Lambda columns).
+    """Jamiolkowski matrix sum_jk T[j, k] (s_j ⊗ conj(s_k)) / 4 of the affine map.
 
-    Hermitian with trace 1 for any affine parameters; PSD exactly when the
-    map is completely positive.
+    T is the transfer matrix on the Pauli basis s = (I, sigma_x, sigma_y, sigma_z):
+    T[0, 0] = 1, first column (1, t), lower block Lambda. Hermitian with trace 1
+    for any affine parameters; PSD exactly when the map is completely positive.
     """
-    u1, u2, u3 = a.lam[:, 0]
-    v1, v2, v3 = a.lam[:, 1]
-    w1, w2, w3 = a.lam[:, 2]
-    t1, t2, t3 = a.t
-    return (
-        np.array(
-            [
-                [1 + t3 + w3, u3 + 1j * v3, t1 - 1j * t2 + w1 - 1j * w2, u1 - 1j * u2 + 1j * v1 + v2],
-                [u3 - 1j * v3, 1 + t3 - w3, u1 - 1j * u2 - 1j * v1 - v2, t1 - 1j * t2 - w1 + 1j * w2],
-                [t1 + 1j * t2 + w1 + 1j * w2, u1 + 1j * u2 + 1j * v1 - v2, 1 - t3 - w3, -u3 - 1j * v3],
-                [u1 + 1j * u2 - 1j * v1 + v2, t1 + 1j * t2 - w1 - 1j * w2, -u3 + 1j * v3, 1 - t3 + w3],
-            ],
-            dtype=complex,
-        )
-        / 4
-    )
+    transfer = np.eye(4)
+    transfer[1:, 0] = a.t
+    transfer[1:, 1:] = a.lam
+    return np.einsum("jk,jkxy->xy", transfer, _BASIS)
 
 
 def affine_from_jamiolkowski(jam: np.ndarray) -> AffineMap:
-    """Inverse of jamiolkowski_from_affine for trace-preserving maps."""
+    """Inverse of jamiolkowski_from_affine for trace-preserving maps: T[j, k] = 4·Re Tr(B_jk J)."""
     jam = as_complex_matrix(jam)
     if jam.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 Jamiolkowski matrix, got {jam.shape}")
-    j4 = jam.reshape(2, 2, 2, 2)
-    return _affine_from_action(lambda x: 2 * np.einsum("ikjl,kl->ij", j4, x))
+    transfer = 4 * np.einsum("jkyx,xy->jk", _BASIS, jam).real
+    return affine_map(transfer[1:, 1:], transfer[1:, 0])
 
 
 def gram_action_on_affine(sg: SuperGram, a: AffineMap, tol: float = DEFAULT_TOL) -> AffineMap:

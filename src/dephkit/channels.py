@@ -20,11 +20,13 @@ from .linalg import (
     basis_matrix,
     dagger,
     enforce,
+    hermitize,
     kron,
+    max_abs,
+    partial_trace,
     psd_factors,
     readonly_copy,
     require,
-    reshuffle,
 )
 
 
@@ -87,11 +89,16 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 
 def jamiolkowski(ch: Channel) -> np.ndarray:
-    """Jamiolkowski state (E ⊗ I)|Psi><Psi|, the reshuffled superoperator over d."""
+    """Jamiolkowski state (E ⊗ I)|Psi><Psi| = sum_n vec(K_n) vec(K_n)† / d, vec row-major.
+
+    This is the reshuffled superoperator over d; ``channel_from_jamiolkowski``
+    inverts it, reading each Kraus operator back from one column vec(K)/sqrt(d).
+    """
     if ch.dim_in != ch.dim_out:
         raise DimensionError("Jamiolkowski form implemented for square channels only")
     d = ch.dim_in
-    return reshuffle(superop_from_kraus(ch), d) / d
+    vecs = np.reshape(ch.kraus, (-1, d * d))
+    return vecs.T @ vecs.conj() / d
 
 
 def _channel_from_jamiolkowski(jam, tol: float, subject: str) -> Channel:
@@ -101,9 +108,10 @@ def _channel_from_jamiolkowski(jam, tol: float, subject: str) -> Channel:
     d = round(side**0.5)
     if jam.shape != (side, side) or d * d != side or d < 1:
         raise DimensionError(f"Jamiolkowski matrix must be d^2 x d^2 with d >= 1, got {jam.shape}")
-    s = _psd_factor(jam, ("hermitian", "jamiolkowski-tp"), tol, subject)[1]
+    jam, s = _psd_factor(jam, ("hermitian", "jamiolkowski-tp"), tol, subject)
+    dropped = max_abs(partial_trace(hermitize(jam) - s @ dagger(s), (d, d), "first"))
     ops = [np.sqrt(d) * f.reshape(d, d) for f in s.T] or [np.zeros((d, d), dtype=complex)]
-    return channel_from_kraus(ops, tol=d * tol)
+    return channel_from_kraus(ops, tol=d * (tol + dropped))
 
 
 def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
@@ -114,9 +122,9 @@ def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Chan
     failure raises ValidationError. J = S S† by ``psd_factors``, which keeps one
     column f of S per eigenvalue above its rank cutoff, so negatives within tol
     are dropped, and each f gives the Kraus operator sqrt(d)·f as a d x d
-    matrix. Then sum K†K - I is d·(Tr_1 J - I/d) transposed, for J less its
-    dropped eigenvalues, and the Channel's "trace-preserving" check is held
-    to d·tol.
+    matrix. Then sum K†K - I is d·(Tr_1 S S† - I/d) transposed; dropping the
+    eigenvalues moves Tr_1 by w = max |Tr_1 (H - S S†)|, H the Hermitian part
+    of J, so the Channel's "trace-preserving" check is held to d·(tol + w).
     """
     return _channel_from_jamiolkowski(jam, tol, "Jamiolkowski matrix")
 

@@ -194,9 +194,9 @@ def cmd_memory_decompose(args) -> Report:
 
 def cmd_ppt(args) -> Report:
     mat = io.read_matrix(args.file)
-    if mat.shape[0] != mat.shape[1]:
-        raise FileFormatError(f"matrix of shape {mat.shape} is not square")
     dims = tuple(args.dims) if args.dims else (_side_to_d(mat),) * 2
+    if min(dims) < 1 or mat.shape != (dims[0] * dims[1],) * 2:
+        raise FileFormatError(f"--dims {dims} needs factors >= 1 and a square side of their product, got {mat.shape}")
     value = memory.ppt_min_eig(mat, dims, tol=args.tol)
     report = Report(kind="value", value=value, provenance=_provenance(args.file))
     report.add("partial transpose smallest eigenvalue (separability test)", value)

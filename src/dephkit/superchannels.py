@@ -11,10 +11,9 @@ pair realizes one, and provides a brute-force full-circuit oracle.
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
 
-Realization engine. Each entry point checks the memory state tau once, as
-a "memory state", by the check of ``density_matrix``: "hermitian",
-"unit-trace" and "psd" at the caller's tol (DEFAULT_TOL in simulation_tensor,
-which takes none), whose ``psd_factors`` call gives S with S S† = tau.
+Realization engine. Each entry point checks the memory state tau once, as a
+"memory state", by the check of ``density_matrix``: "hermitian", "unit-trace"
+and "psd" at the caller's tol, whose ``psd_factors`` call gives S with S S† = tau.
 With a_c and b_c the encoder's and decoder's Kraus tensors ([sys_out,
 mem_out, sys_in, mem_in], stacked over c by ``kraus_tensors``, so c stays
 first) and M the middle memory's dimension, every contraction reads two
@@ -293,17 +292,19 @@ def _folded(enc: BipartiteChannel, dec: BipartiteChannel, tau, tol: float) -> tu
     return (a.reshape(-1, enc.mem_in) @ s).reshape(a.shape[:4] + (-1,)), dec.kraus_tensors()
 
 
-def simulation_tensor(enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray) -> np.ndarray:
+def simulation_tensor(
+    enc: BipartiteChannel, dec: BipartiteChannel, tau: np.ndarray, tol: float = DEFAULT_TOL
+) -> np.ndarray:
     """Rank-8 tensor R[i,j,p,q,k,l,m,n] probing the encode/decode pair.
 
     R contracts the decoder superoperator (output memory traced out) against
     the encoder superoperator fed with the initial memory state. For a genuine
     dephasing realization R vanishes unless (p, q, m, n) == (i, j, k, l), and
     the surviving entries are the superchannel's Gram matrix. Raises
-    ValidationError when tau is not a state within DEFAULT_TOL.
+    ValidationError when tau is not a state within tol.
     """
     d = enc.sys_in
-    rhs = _tensor(*_superoperators(*_folded(enc, dec, tau, DEFAULT_TOL)))
+    rhs = _tensor(*_superoperators(*_folded(enc, dec, tau, tol)))
     return rhs.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
 
 

@@ -7,6 +7,7 @@ from dephkit import (
     affine_from_channel,
     affine_from_jamiolkowski,
     affine_map,
+    apply_channel,
     apply_super,
     gram_action_on_affine,
     jamiolkowski,
@@ -15,7 +16,7 @@ from dephkit import (
     random_super_gram,
     validate_super_gram,
 )
-from dephkit.bloch import SIGMA
+from dephkit.bloch import SIGMA, _I2
 from dephkit.linalg import max_abs, min_eig_hermitian
 from reference import (
     identity_channel,
@@ -60,6 +61,28 @@ def test_affine_from_channel_trivial_cases():
     aff = affine_from_channel(unitary_channel(SX))
     assert max_abs(aff.lam - np.diag([1.0, -1.0, -1.0])) < 1e-12
     assert max_abs(aff.t) < 1e-12
+
+
+def probed_affine(ch):
+    """Independent route: Bloch images of seven probe states, read with apply_channel.
+
+    t is read from the image of I/2, column k of Lambda from the images of (I ± sigma_k)/2."""
+    t = np.array([np.trace(s @ apply_channel(ch, _I2 / 2)).real for s in SIGMA])
+    lam = np.zeros((3, 3))
+    for k in range(3):
+        img = apply_channel(ch, (_I2 + SIGMA[k]) / 2) - apply_channel(ch, (_I2 - SIGMA[k]) / 2)
+        lam[:, k] = [0.5 * np.trace(s @ img).real for s in SIGMA]
+    return lam, t
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("seed", range(5))
+def test_affine_from_channel_matches_probed_bloch_images(seed, rank):
+    ch = random_channel(2, rank, seed)
+    lam, t = probed_affine(ch)
+    aff = affine_from_channel(ch)
+    assert max_abs(aff.lam - lam) < 1e-15
+    assert max_abs(aff.t - t) < 1e-15
 
 
 def test_affine_from_channel_rejects_non_qubit():

@@ -108,6 +108,45 @@ def test_channel_from_jamiolkowski_rejects_non_cp():
         channel_from_jamiolkowski(bad)
 
 
+@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("d", range(2, 6))
+def test_jamiolkowski_is_the_reshuffled_superoperator_over_d(d, rank):
+    # independent route: the d^2 x d^2 superoperator sum K ⊗ conj(K), reshuffled
+    ch = random_channel(d, rank, seed=10 * d + rank)
+    assert max_abs(jamiolkowski(ch) - reshuffle(superop_from_kraus(ch), d) / d) < 1e-15
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("d", range(2, 6))
+def test_jamiolkowski_inverts_channel_from_jamiolkowski(d, rank):
+    jam = jamiolkowski(random_channel(d, rank, seed=10 * d + rank))
+    assert max_abs(jamiolkowski(channel_from_jamiolkowski(jam)) - jam) < 1e-14
+
+
+# d = 3 diagonal J, entries[a][c] = J[(a, c), (a, c)] with a the output and c the input level,
+# judged at tol 1e-6. "accepted" passes every check: its two negatives (-9e-7 each) are within
+# tol, but dropping them moves sum K†K by 3 · 1.8e-6 = 5.4e-6, above d·tol = 3e-6.
+TRUNCATED = {
+    "accepted": ([[1 / 3 + 1.8e-6, 1 / 3, 1 / 3], [-9e-7, 0, 0], [-9e-7, 0, 0]], None),
+    "jamiolkowski-tp": ([[1 / 3 + 3e-6, 1 / 3, 1 / 3], [0, 0, 0], [0, 0, 0]], "jamiolkowski-tp"),
+    "psd": ([[1 / 3 + 3e-6, 1 / 3, 1 / 3], [-1.5e-6, 0, 0], [-1.5e-6, 0, 0]], "psd"),
+}
+
+
+@pytest.mark.parametrize("case", TRUNCATED)
+def test_channel_from_jamiolkowski_allows_for_its_dropped_eigenvalues(case):
+    entries, refused_by = TRUNCATED[case]
+    jam = np.diag(np.ravel(entries))
+    if refused_by:
+        with pytest.raises(ValidationError) as err:
+            channel_from_jamiolkowski(jam, tol=1e-6)
+        assert err.value.check == refused_by
+        return
+    ch = channel_from_jamiolkowski(jam, tol=1e-6)
+    assert measure(ch.kraus, ("trace-preserving",), 1e-6)[0].value == pytest.approx(5.4e-6, rel=1e-6)
+    assert max_abs(jamiolkowski(ch) - np.maximum(jam, 0)) < 1e-15
+
+
 def test_apply_channel_identity():
     rho = random_density_matrix(2, 0)
     assert max_abs(apply_channel(identity_channel(2), rho) - rho) < 1e-15

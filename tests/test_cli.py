@@ -136,8 +136,10 @@ SIDES = {"0": 0, "3": 3, "5": 5, "4x2": (4, 2)}
         for command in ["gram-validate", "apply", "memory-activity", "memory-decompose", "ppt"]
         for name, side in SIDES.items()
     ]
-    # with --dims only a non-square file is a fault of the file
-    + [pytest.param(["ppt", "--dims", "2", "1"], (4, 2), id="ppt-dims-4x2")],
+    # with --dims, a file that does not split into factors of dimension >= 1 is a fault of the file
+    + [pytest.param(["ppt", "--dims", "2", "1"], (4, 2), id="ppt-dims-4x2")]
+    + [pytest.param(["ppt", "--dims", "3", "3"], 4, id="ppt-dims-3x3-on-4")]
+    + [pytest.param(["ppt", "--dims", "0", "3"], 4, id="ppt-dims-0x3-on-4")],
 )
 def test_gram_file_whose_side_is_not_d_squared_is_a_parse_error(capsys, tmp_path, command, side):
     path = tmp_path / "side.json"

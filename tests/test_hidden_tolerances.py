@@ -10,10 +10,6 @@ import dephkit
 
 PACKAGE = Path(dephkit.__file__).resolve().parent
 
-# Function bodies allowed to read DEFAULT_TOL. simulation_tensor takes no tol;
-# it is retired once the benchmark stops timing it.
-NAMED_SITES = {("superchannels.py", "simulation_tensor")}
-
 
 def _reads_default_tol(node) -> bool:
     return (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL") or (
@@ -25,8 +21,8 @@ def hidden_tolerances(source: str, filename: str) -> list[int]:
     """Lines where DEFAULT_TOL appears other than at an allowed site.
 
     Allowed: a function-argument default, a dataclass InitVar default, the
-    definition in linalg.py, the default of the CLI's --tol option and the
-    NAMED_SITES. Imports and re-exports hold no DEFAULT_TOL expression.
+    definition in linalg.py and the default of the CLI's --tol option. Imports
+    and re-exports hold no DEFAULT_TOL expression.
     """
     tree = ast.parse(source)
     allowed = set()
@@ -38,8 +34,6 @@ def hidden_tolerances(source: str, filename: str) -> list[int]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
                 allow(default)
-            if (filename, getattr(node, "name", None)) in NAMED_SITES:
-                allow(node)
         elif isinstance(node, ast.AnnAssign) and node.value is not None and "InitVar" in ast.unparse(node.annotation):
             allow(node.value)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and filename == "linalg.py":
@@ -75,7 +69,7 @@ def test_package_reads_default_tol_only_where_a_caller_can_override_it():
         ("linalg.py", "DEFAULT_TOL = 1e-9\n", []),
         ("cli.py", "p.add_argument('--tol', default=str(DEFAULT_TOL))\n", []),
         ("cli.py", "p.add_argument('--cut', default=str(DEFAULT_TOL))\n", [1]),
-        ("superchannels.py", "def simulation_tensor(e):\n    return f(e, DEFAULT_TOL)\n", []),
+        ("superchannels.py", "def simulation_tensor(e):\n    return f(e, DEFAULT_TOL)\n", [2]),
         ("superchannels.py", "def other(e):\n    return f(e, DEFAULT_TOL)\n", [2]),
     ],
 )

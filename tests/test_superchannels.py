@@ -1031,7 +1031,7 @@ ENTRY_POINTS = {
     "verify_dephasing_realization": lambda enc, dec, tau, tol: verify_dephasing_realization(enc, dec, tau, tol),
     "gram_from_simulation": lambda enc, dec, tau, tol: gram_from_simulation(enc, dec, tau, tol),
     "verify_simulation_consistency": lambda enc, dec, tau, tol: verify_simulation_consistency(enc, dec, tau, tol),
-    "simulation_tensor": lambda enc, dec, tau, tol: simulation_tensor(enc, dec, tau),  # at DEFAULT_TOL
+    "simulation_tensor": lambda enc, dec, tau, tol: simulation_tensor(enc, dec, tau, tol),
     "circuit_oracle": lambda enc, dec, tau, tol: circuit_oracle(enc, dec, tau, identity_channel(2), tol),
 }
 
@@ -1047,12 +1047,11 @@ def test_realization_refuses_a_memory_state_that_is_not_a_state(entry, check):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_realization_accepts_a_memory_state_within_tol(entry):
-    # lambda_min = -tol / 2 passes the psd check at tol 1e-9, DEFAULT_TOL included
+    # lambda_min = -tol / 2 passes the psd check at tol 1e-9 and fails it at tol / 4
     tol = 1e-9
     ident = identity_bipartite(2, 2)
     tau = np.diag([1 + tol / 2, -tol / 2])
     ENTRY_POINTS[entry](ident, ident, tau, tol)
-    if entry != "simulation_tensor":
-        with pytest.raises(ValidationError, match="^memory state: ") as err:
-            ENTRY_POINTS[entry](ident, ident, tau, tol / 4)
-        assert err.value.check == "psd"
+    with pytest.raises(ValidationError, match="^memory state: ") as err:
+        ENTRY_POINTS[entry](ident, ident, tau, tol / 4)
+    assert err.value.check == "psd"
