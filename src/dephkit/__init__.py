@@ -10,7 +10,6 @@ from .bloch import (
 )
 from .channels import (
     Channel,
-    GramMatrix,
     apply_channel,
     channel_from_jamiolkowski,
     channel_from_kraus,
@@ -20,7 +19,6 @@ from .channels import (
     jamiolkowski,
     l1_coherence,
     random_channel,
-    superop_from_kraus,
 )
 from .errors import (
     DecompositionError,
@@ -35,7 +33,6 @@ from .linalg import (
     min_eig_hermitian,
     partial_trace,
     partial_transpose,
-    reshuffle,
 )
 from .memory import (
     ProductDecomposition,
@@ -43,7 +40,6 @@ from .memory import (
     decompose_product_qubit,
     family_gram,
     family_ppt_closed_form,
-    family_realization,
     is_passive_compatible,
     l1_distance,
     memory_activity_qubit,
@@ -66,6 +62,7 @@ from .superchannels import (
     gram_from_simulation,
     random_controlled_family,
     random_super_gram,
+    realize_super_gram,
     validate_super_gram,
     verify_dephasing_realization,
     verify_simulation_consistency,

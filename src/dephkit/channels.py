@@ -1,14 +1,14 @@
 """Quantum states and channels.
 
-Channels are stored canonically as Kraus operator lists; the superoperator
-and Jamiolkowski representations are derived views, recomputed on demand.
+Channels are stored canonically as Kraus operator lists; the Jamiolkowski
+state is a derived view, recomputed on demand.
 States and channels are validated at construction, against the checks of
 the linalg measure layer, and never silently repaired.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .linalg import (
     dagger,
     enforce,
     hermitize,
-    kron,
     max_abs,
     partial_trace,
     psd_factors,
@@ -75,11 +74,6 @@ def channel_from_kraus(kraus, tol: float = DEFAULT_TOL) -> Channel:
     return Channel(kraus=ops, dim_in=cols, dim_out=rows, tol=tol)
 
 
-def superop_from_kraus(ch: Channel) -> np.ndarray:
-    """Superoperator Phi = sum_n K_n ⊗ K_n*, acting on row-major vectorized states."""
-    return sum(kron(k, k.conj()) for k in ch.kraus)
-
-
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n†."""
     rho = as_complex_matrix(rho)
@@ -127,17 +121,6 @@ def channel_from_jamiolkowski(jam: np.ndarray, tol: float = DEFAULT_TOL) -> Chan
     of J, so the Channel's "trace-preserving" check is held to d·(tol + w).
     """
     return _channel_from_jamiolkowski(jam, tol, "Jamiolkowski matrix")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """PSD matrix with unit diagonal; acts on states entrywise as a dephasing channel."""
-
-    mat: np.ndarray = field(repr=False)
-
-    @property
-    def d(self) -> int:
-        return self.mat.shape[0]
 
 
 def classical_action(ch: Channel) -> np.ndarray:

@@ -103,11 +103,27 @@ def _read_super_gram(path, tol: float) -> superchannels.SuperGram:
     return superchannels.validate_super_gram(mat, _side_to_d(mat), tol=tol)
 
 
+def _realize(report: Report, sg: superchannels.SuperGram, out, tol: float) -> None:
+    """Realize sg by controlled unitaries, add the round trip at tol and write the pair to out; add a refusal's record."""
+    try:
+        pre, post = superchannels.realize_super_gram(sg, tol)
+        recon = superchannels.gram_from_controlled_unitaries(pre, post, tol=tol)
+    except ValidationError as exc:
+        report.checks.append(exc.record)
+        return
+    report.add("controlled-unitary round-trip residual", max_abs(recon.mat - sg.mat), tol)
+    if out:
+        io.write_family_pair(out, pre, post)
+
+
 def cmd_gram_validate(args) -> Report:
     mat = io.read_matrix(args.file)
-    _side_to_d(mat)  # the block check needs a side of d^2
+    d = _side_to_d(mat)  # the block check needs a side of d^2
     checks = measure(mat, superchannels.SUPER_GRAM_CHECKS, args.tol)
-    return Report(checks=list(checks), provenance=_provenance(args.file))
+    report = Report(checks=list(checks), provenance=_provenance(args.file))
+    if args.out and report.verdict == "pass":  # the checks just made are those of validate_super_gram
+        _realize(report, superchannels.SuperGram(d, mat, checks), args.out, args.tol)
+    return report
 
 
 def cmd_gram_from_unitaries(args) -> Report:
@@ -216,11 +232,7 @@ def cmd_family(args) -> Report:
         report.add("closed form 1 - sqrt(|a|^2+|b|^2)", closed)
         report.add("closed-form residual", abs(measured - closed), args.tol)
     if args.realize:
-        pre, post = memory.family_realization(args.alpha, args.beta, tol=args.tol)
-        recon = superchannels.gram_from_controlled_unitaries(pre, post, tol=args.tol)
-        report.add("controlled-unitary round-trip residual", max_abs(recon.mat - sg.mat), args.tol)
-        if args.out:
-            io.write_family_pair(args.out, pre, post)
+        _realize(report, sg, args.out, args.tol)
     elif args.out:
         io.write_matrix(args.out, sg.mat)
     return report
@@ -263,40 +275,41 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("DEPHKIT_TOL", str(DEFAULT_TOL)),
         help="numerical tolerance, finite and >= 0 (default: %(default)s, from $DEPHKIT_TOL when set)",
     )
-    common.add_argument("--out", type=Path, default=None, help="write the primary artifact here")
     common.add_argument("--json", dest="as_json", action="store_true", help="machine-readable report")
+    writes = argparse.ArgumentParser(add_help=False)  # every subcommand with an artifact to write
+    writes.add_argument("--out", type=Path, default=None, help="write the primary artifact here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram-validate", parents=[common], help="check superchannel Gram invariants")
+    p = sub.add_parser("gram-validate", parents=[common, writes], help="check superchannel Gram invariants (--out: a realizing circuit)")
     p.add_argument("file", type=Path)
     p.set_defaults(func=cmd_gram_validate)
 
-    p = sub.add_parser("gram-from-unitaries", parents=[common], help="Gram matrix of a controlled-unitary circuit")
+    p = sub.add_parser("gram-from-unitaries", parents=[common, writes], help="Gram matrix of a controlled-unitary circuit")
     p.add_argument("file", type=Path, help="JSON with d, pre and post unitary lists")
     p.set_defaults(func=cmd_gram_from_unitaries)
 
-    p = sub.add_parser("gram-from-simulation", parents=[common], help="extract the Gram matrix of an encode/decode simulation")
+    p = sub.add_parser("gram-from-simulation", parents=[common, writes], help="extract the Gram matrix of an encode/decode simulation")
     p.add_argument("enc", type=Path)
     p.add_argument("dec", type=Path)
     p.add_argument("tau", type=Path, help="initial memory state matrix")
     p.set_defaults(func=cmd_gram_from_simulation)
 
-    p = sub.add_parser("apply", parents=[common], help="transform a channel by a dephasing superchannel")
+    p = sub.add_parser("apply", parents=[common, writes], help="transform a channel by a dephasing superchannel")
     p.add_argument("channel", type=Path)
     p.add_argument("gram", type=Path)
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("verify-realization", parents=[common], help="check that encode/decode maps realize a dephasing superchannel")
+    p = sub.add_parser("verify-realization", parents=[common, writes], help="check that encode/decode maps realize a dephasing superchannel")
     p.add_argument("enc", type=Path)
     p.add_argument("dec", type=Path)
     p.add_argument("tau", type=Path)
     p.set_defaults(func=cmd_verify_realization)
 
-    p = sub.add_parser("memory-activity", parents=[common], help="active-memory requirement of a qubit superchannel")
+    p = sub.add_parser("memory-activity", parents=[common, writes], help="active-memory requirement of a qubit superchannel")
     p.add_argument("file", type=Path)
     p.set_defaults(func=cmd_memory_activity)
 
-    p = sub.add_parser("memory-decompose", parents=[common], help="product decomposition of a passive-compatible qubit superchannel")
+    p = sub.add_parser("memory-decompose", parents=[common, writes], help="product decomposition of a passive-compatible qubit superchannel")
     p.add_argument("file", type=Path)
     p.set_defaults(func=cmd_memory_decompose)
 
@@ -305,18 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=2, default=None, help="bipartite factor dimensions")
     p.set_defaults(func=cmd_ppt)
 
-    p = sub.add_parser("family", parents=[common], help="qutrit example family and its realization")
+    p = sub.add_parser("family", parents=[common, writes], help="qutrit example family and its realization")
     p.add_argument("--alpha", type=complex, required=True)
     p.add_argument("--beta", type=complex, required=True)
     p.add_argument("--ppt", action="store_true", help="report the partial-transpose eigenvalue check")
     p.add_argument("--realize", action="store_true", help="build the controlled-unitary realization")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("bloch-affine", parents=[common], help="affine Bloch representation of a qubit channel")
+    p = sub.add_parser("bloch-affine", parents=[common, writes], help="affine Bloch representation of a qubit channel")
     p.add_argument("channel", type=Path)
     p.set_defaults(func=cmd_bloch_affine)
 
-    p = sub.add_parser("demo-nmr", parents=[common], help="analyze the bundled experimental matrix")
+    p = sub.add_parser("demo-nmr", parents=[common, writes], help="analyze the bundled experimental matrix")
     p.set_defaults(func=cmd_demo_nmr)
     return parser
 
@@ -326,13 +339,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        print(json.dumps(report.to_json(), indent=1) if args.as_json else report.render(), flush=True)
     except (FileFormatError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout is closed: point it at devnull so the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DephkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(json.dumps(report.to_json(), indent=1) if args.as_json else report.render())
     return EXIT_DOMAIN if report.verdict == "fail" else EXIT_OK
 
 

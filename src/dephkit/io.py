@@ -2,10 +2,10 @@
 
 Matrices travel as {"rows", "cols", "data"} with row-major [re, im] pairs.
 Channel files carry an explicit "kind" tag (kraus | jamiolkowski) plus
-dimensions; a bare matrix file is accepted as a fallback, as a Jamiolkowski
-state if ``channel_from_jamiolkowski`` accepts it. Serialized floats use
-Python's shortest round-trip representation, so written matrices re-read
-bit-identically.
+dimensions, and are written in Kraus form; a bare matrix file is accepted as
+a fallback, as a Jamiolkowski state if ``channel_from_jamiolkowski`` accepts
+it. Serialized floats use Python's shortest round-trip representation, so
+written matrices re-read bit-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus, jamiolkowski
+from .channels import Channel, channel_from_jamiolkowski, channel_from_kraus
 from .errors import DephkitError, DimensionError, ValidationError
 from .linalg import DEFAULT_TOL, as_complex_matrix
 from .superchannels import BipartiteChannel, bipartite_channel, controlled_unitary_family
@@ -58,6 +58,8 @@ def matrix_from_obj(obj) -> np.ndarray:
         if len(data) != rows * cols:
             raise FileFormatError(f"data length {len(data)} != rows*cols = {rows * cols}")
         mat = np.array([complex(re, im) for re, im in data]).reshape(rows, cols)
+        if bool in {type(x) for pair in data for x in pair}:  # complex() reads true as 1
+            raise FileFormatError("matrix entries must be numbers, got a bool")
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -104,19 +106,9 @@ def read_matrix(path) -> np.ndarray:
     return matrix_from_obj(_load_json(path))
 
 
-def write_channel(path, ch: Channel, kind: str = "kraus") -> None:
-    if kind == "kraus":
-        obj = {
-            "kind": "kraus",
-            "dim_in": ch.dim_in,
-            "dim_out": ch.dim_out,
-            "kraus": [matrix_to_obj(k) for k in ch.kraus],
-        }
-    elif kind == "jamiolkowski":
-        obj = {"kind": "jamiolkowski", "dim": ch.dim_in, "matrix": matrix_to_obj(jamiolkowski(ch))}
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    _dump_json(path, obj)
+def write_channel(path, ch: Channel) -> None:
+    kraus = [matrix_to_obj(k) for k in ch.kraus]
+    _dump_json(path, {"kind": "kraus", "dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": kraus})
 
 
 def _channel_from_obj(obj, tol: float) -> Channel:
@@ -204,7 +196,7 @@ def read_family_pair(path, tol: float = DEFAULT_TOL):
 
 def write_decomposition(path, dec) -> None:
     """A product certificate: its residual, and the weight and both factors of each term."""
-    terms = [{"weight": t.weight, "c1": matrix_to_obj(t.c1.mat), "c2": matrix_to_obj(t.c2.mat)} for t in dec.terms]
+    terms = [{"weight": t.weight, "c1": matrix_to_obj(t.c1), "c2": matrix_to_obj(t.c2)} for t in dec.terms]
     _dump_json(path, {"residual": dec.residual, "terms": terms})
 
 

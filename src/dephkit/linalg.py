@@ -87,34 +87,10 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], which: Which = "second")
     raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
-def partial_transpose(m: np.ndarray, dims: tuple[int, int], which: Which = "second") -> np.ndarray:
-    """Transpose one tensor factor; involutive."""
-    m4 = _split_square(m, dims)
+def partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose the second tensor factor; involutive."""
     da, db = dims
-    if which == "first":
-        out = m4.transpose(2, 1, 0, 3)
-    elif which == "second":
-        out = m4.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    return out.reshape(da * db, da * db)
-
-
-def reshuffle(m: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Reorder entries of a d^2 x d^2 matrix: out[(i,j),(k,l)] = m[(i,k),(j,l)].
-
-    This is the involution relating a channel's superoperator to d times its
-    Jamiolkowski state.
-    """
-    m = as_complex_matrix(m)
-    side = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"reshuffle needs a square matrix, got {m.shape}")
-    if d is None:
-        d = round(side**0.5)
-    if d * d != side:
-        raise DimensionError(f"side {side} is not the square of d={d}")
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(side, side)
+    return _split_square(m, dims).transpose(0, 3, 2, 1).reshape(da * db, da * db)
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -12,9 +12,8 @@ unitaries, in scalar arithmetic; a rank-deficient one, or one whose dilation
 loses accuracy, by one factorization of the matrix and the eigenbasis of a
 unitary. A matrix whose block diagonals are constant only to within the
 tolerance is certified from their average, and one that the closed form does
-not fit within the tolerance is refused. A one-parameter qutrit family with
-the controlled-unitary realization of any valid Gram matrix, and a bundled
-experimental qubit matrix round out the module.
+not fit within the tolerance is refused. A one-parameter qutrit family and a
+bundled experimental qubit matrix round out the module.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GramMatrix
 from .errors import DecompositionError, DimensionError
 from .io import bundled_data_path, read_matrix
 from .linalg import (
@@ -42,7 +40,7 @@ from .linalg import (
     psd_factors,
     require,
 )
-from .superchannels import ControlledUnitaryFamily, SuperGram, _realize, validate_super_gram
+from .superchannels import SuperGram, validate_super_gram
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -114,7 +112,7 @@ def ppt_min_eig(
         mat = as_complex_matrix(sg)
         if dims is None:
             raise DimensionError("dims required when the input is a raw matrix")
-    return min_eig_hermitian(partial_transpose(mat, dims, "second"), hermiticity_tol=tol)
+    return min_eig_hermitian(partial_transpose(mat, dims), hermiticity_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +122,11 @@ def ppt_min_eig(
 
 @dataclass(frozen=True)
 class ProductTerm:
+    """Weight and factors of one product C1 ⊗ C2; each factor a read-only 2x2 Gram matrix."""
+
     weight: float
-    c1: GramMatrix
-    c2: GramMatrix
+    c1: np.ndarray
+    c2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class ProductDecomposition:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        return sum(t.weight * kron(t.c1.mat, t.c2.mat) for t in self.terms)
+        return sum(t.weight * kron(t.c1, t.c2) for t in self.terms)
 
     def total_weight(self) -> float:
         return float(sum(t.weight for t in self.terms))
@@ -398,15 +398,12 @@ def decompose_product_qubit(sg: SuperGram, tol: float = DEFAULT_TOL) -> ProductD
     # diagonal and exact Hermiticity by construction, so nothing is left to check.
     factors = _circle_gram(atoms)
     factors.setflags(write=False)
-    terms = tuple(
-        ProductTerm(weight=float(w), c1=GramMatrix(mat=c1), c2=GramMatrix(mat=c2))
-        for w, (c1, c2) in zip(weights, factors)
-    )
+    terms = tuple(ProductTerm(float(w), c1, c2) for w, (c1, c2) in zip(weights, factors))
     return ProductDecomposition(terms=terms, residual=residual)
 
 
 # ---------------------------------------------------------------------------
-# Qutrit family and its controlled-unitary realization
+# Qutrit family
 # ---------------------------------------------------------------------------
 
 
@@ -436,16 +433,6 @@ def family_ppt_closed_form(alpha: complex, beta: complex, tol: float = DEFAULT_T
     """Smallest partial-transpose eigenvalue of the family: 1 - sqrt(|a|^2 + |b|^2); |a|, |b| <= 1 + tol."""
     alpha, beta = _check_disk(alpha, beta, tol)
     return float(1.0 - np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2))
-
-
-def family_realization(
-    alpha: complex, beta: complex, tol: float = DEFAULT_TOL
-) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
-    """Controlled-unitary circuit whose Gram matrix is family_gram(alpha, beta),
-    each unitary checked within tol: the general construction of any valid
-    Gram matrix (``superchannels._realize``), applied to the family's matrix.
-    """
-    return _realize(family_gram(alpha, beta, tol), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ and acts on Jamiolkowski states by a Schur product with a Gram matrix whose
 d x d diagonal blocks all coincide. This module validates such matrices,
 applies them to channels, constructs them from controlled-unitary circuits
 and from general encode/decode simulations, realizes any valid matrix by a
-controlled-unitary circuit (``_realize``), verifies when an encode/decode
-pair realizes one, and provides a brute-force full-circuit oracle.
+controlled-unitary circuit (``realize_super_gram``), verifies when an
+encode/decode pair realizes one, and provides a brute-force full-circuit
+oracle.
 
 Block indexing: entry [(i, k), (j, l)] of the matrix, flattened row-major,
 is element (k, l) of block (i, j).
@@ -40,15 +41,17 @@ one product of the folded tensors, over all Kraus operators at once:
 
 The Gram entries R[(i,i,j,j),(k,k,l,l)] are the product of the matched rows
 and columns, and the marginals they must reproduce come from the same two:
-c_en sums the matched columns over g == h, and c_de contracts the matched
-rows with sigma_m. The last two products serve only the dephasing checks,
-and both skip exact zeros. If x[k,g,m,r] is exactly 0.0 wherever k != m,
-as in every system-controlled encoder, each entry of Tr_mem N_en(|m><n| ⊗
-tau) off (k, l) == (m, n) is a sum of products with an exact-zero factor. So encoder-dephasing reads 0.0 without that product, and
-sigma_m is block (m, m) of the matched columns. Likewise, if b[i,t,p,g] is
-exactly 0.0 wherever i != p, decoder-dephasing reads 0.0 without the
-decoder's images: 2c d^9 multiply-adds, with c its Kraus rank and d^2
-memory levels on both of its sides. The test is exact, not a tolerance: a
+the encoder's marginal sums the matched columns over g == h, and the
+decoder's marginal at level m contracts the matched rows with sigma_m.
+The last two products serve only the dephasing checks, and both skip
+exact zeros. If x[k,g,m,r] is exactly 0.0 wherever k != m, as in every
+system-controlled encoder, each entry of Tr_mem N_en(|m><n| ⊗ tau) off
+(k, l) == (m, n) is a sum of products with an exact-zero factor. So
+encoder-dephasing reads 0.0 without that product, and sigma_m is block
+(m, m) of the matched columns. Likewise, if b[i,t,p,g] is exactly 0.0
+wherever i != p, decoder-dephasing reads 0.0 without the decoder's images:
+2c d^9 multiply-adds, with c its Kraus rank and d^2 memory levels on both
+of its sides. The test is exact, not a tolerance: a
 single unmatched entry of 1e-200 takes the full product. It reads each
 tensor once.
 
@@ -113,10 +116,6 @@ class SuperGram:
     d: int
     mat: np.ndarray = field(repr=False)
     checks: tuple[Check, ...] = field(default=(), repr=False, compare=False)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
 def validate_super_gram(mat, d: int, tol: float = DEFAULT_TOL) -> SuperGram:
@@ -203,7 +202,7 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _realize(sg: SuperGram, tol: float) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
+def realize_super_gram(sg: SuperGram, tol: float = DEFAULT_TOL) -> tuple[ControlledUnitaryFamily, ControlledUnitaryFamily]:
     """Families whose gram_from_controlled_unitaries is sg, each unitary checked within tol.
 
     With sg.mat = S S†, psi_(i,k) row (i, k) of S padded to d^2 entries and
@@ -377,7 +376,7 @@ class RealizationReport:
     lies within tol of the worst, so rounding never picks among exact ties.
 
     Every quantity of those four checks is a contraction of the Kraus
-    tensors; c_en and c_de come from the products that give gram_entries.
+    tensors; the marginals come from the products that give gram_entries.
     Where the encoder's (decoder's) Kraus tensors are exactly zero off equal
     system input and output, as in every system-controlled circuit,
     encoder-dephasing (decoder-dephasing) reads exactly 0.0 without
@@ -396,9 +395,6 @@ class RealizationReport:
     """
 
     checks: tuple[Check, ...]
-    c_en: np.ndarray = field(repr=False)
-    c_de: tuple[np.ndarray, ...] = field(repr=False)
-    sigma: tuple[np.ndarray, ...] = field(repr=False)
     gram_entries: np.ndarray = field(repr=False)
     gram_checks: tuple[Check, ...] = field(repr=False)
 
@@ -494,14 +490,7 @@ def _report(x: np.ndarray, b: np.ndarray, tol: float) -> RealizationReport:
         checks.append(
             Check("simulation-mismatch", mismatch, tol, "simulation tensor must vanish off the matched index tuples")
         )
-    return RealizationReport(
-        checks=tuple(checks),
-        c_en=c_en,
-        c_de=tuple(c_de),
-        sigma=tuple(sigma),
-        gram_entries=gram_entries,
-        gram_checks=gram_checks,
-    )
+    return RealizationReport(checks=tuple(checks), gram_entries=gram_entries, gram_checks=gram_checks)
 
 
 def verify_dephasing_realization(

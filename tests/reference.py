@@ -4,26 +4,31 @@ They live here, not in dephkit, because no engine path, CLI command or
 acceptance criterion uses them.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from dephkit import (
     BipartiteChannel,
     Channel,
-    GramMatrix,
     SuperGram,
     affine_map,
     apply_channel,
     bipartite_channel,
     channel_from_kraus,
+    jamiolkowski,
     validate_super_gram,
 )
 from dephkit.bloch import _I2, SIGMA, AffineMap
 from dephkit.errors import DimensionError
+from dephkit.io import matrix_to_obj
 from dephkit.linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
     basis_matrix,
     dagger,
+    kron,
     max_abs,
     measure,
     psd_factors,
@@ -39,16 +44,44 @@ def max_entangled_state(d: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def gram_matrix(mat, tol: float = DEFAULT_TOL) -> GramMatrix:
-    """Validate a Gram matrix: PSD within tol with all diagonal entries 1 within tol."""
+def gram_matrix(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate a Gram matrix, PSD within tol with all diagonal entries 1 within tol, as a read-only copy."""
     m = as_complex_matrix(mat)
     require(m, ("unit-diagonal", "hermitian", "psd"), tol, "Gram matrix")
-    return GramMatrix(mat=readonly_copy(m))
+    return readonly_copy(m)
 
 
-def dephasing_channel(c: GramMatrix, tol: float = DEFAULT_TOL) -> Channel:
+def dephasing_channel(c: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
     """Kraus form of the dephasing channel for Gram matrix C = sum_n v_n v_n†, TP within tol."""
-    return channel_from_kraus([np.diag(f) for f in psd_factors(c.mat)[1].T], tol=tol)
+    return channel_from_kraus([np.diag(f) for f in psd_factors(c)[1].T], tol=tol)
+
+
+def superop_from_kraus(ch: Channel) -> np.ndarray:
+    """Superoperator Phi = sum_n K_n ⊗ K_n*, acting on row-major vectorized states."""
+    return sum(kron(k, k.conj()) for k in ch.kraus)
+
+
+def reshuffle(m: np.ndarray, d: int | None = None) -> np.ndarray:
+    """Reorder entries of a d^2 x d^2 matrix: out[(i,j),(k,l)] = m[(i,k),(j,l)].
+
+    This is the involution relating a channel's superoperator to d times its
+    Jamiolkowski state.
+    """
+    m = as_complex_matrix(m)
+    side = m.shape[0]
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"reshuffle needs a square matrix, got {m.shape}")
+    if d is None:
+        d = round(side**0.5)
+    if d * d != side:
+        raise DimensionError(f"side {side} is not the square of d={d}")
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(side, side)
+
+
+def write_jamiolkowski_channel(path, ch: Channel) -> None:
+    """A channel file tagged "jamiolkowski": its dimension and its Jamiolkowski state."""
+    obj = {"kind": "jamiolkowski", "dim": ch.dim_in, "matrix": matrix_to_obj(jamiolkowski(ch))}
+    Path(path).write_text(json.dumps(obj), encoding="utf-8")
 
 
 def random_density_matrix(d: int, seed: int) -> np.ndarray:
@@ -98,12 +131,12 @@ def compose(after: Channel, before: Channel) -> Channel:
     return channel_from_kraus(ops)
 
 
-def dephase_state(rho, c: GramMatrix) -> np.ndarray:
+def dephase_state(rho, c: np.ndarray) -> np.ndarray:
     """Dephasing action rho ⊙ C: populations kept, coherences rescaled."""
     rho = as_complex_matrix(rho)
-    if rho.shape != c.mat.shape:
-        raise DimensionError(f"state shape {rho.shape} != Gram shape {c.mat.shape}")
-    return rho * c.mat
+    if rho.shape != c.shape:
+        raise DimensionError(f"state shape {rho.shape} != Gram shape {c.shape}")
+    return rho * c
 
 
 def max_dephase(rho) -> np.ndarray:
@@ -148,10 +181,33 @@ def identity_bipartite(sys_dim: int, mem_dim: int) -> BipartiteChannel:
     return bipartite_channel([eye], (sys_dim, mem_dim, sys_dim, mem_dim))
 
 
-def marginal_grams(sg: SuperGram, tol: float = DEFAULT_TOL) -> tuple[GramMatrix, list[GramMatrix]]:
+def marginal_grams(sg: SuperGram, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[np.ndarray]]:
     """Marginal dephasing actions: the shared diagonal block, and for each basis
     level m the matrix of (m, m) entries of every block."""
     d = sg.d
-    c_en = gram_matrix(sg.block(0, 0), tol=tol)
+    c_en = gram_matrix(sg.mat[:d, :d], tol=tol)
     c_de = [gram_matrix(sg.mat[m::d, m::d], tol=tol) for m in range(d)]
     return c_en, c_de
+
+
+def compose_triples(inner, outer):
+    """The (enc, dec, tau) that wraps outer = (enc2, dec2, tau2) around inner = (enc1, dec1, tau1).
+
+    The system passes enc2, enc1, the gate, dec1 and dec2, in that order; the
+    memory is M1 ⊗ M2 in the state tau1 ⊗ tau2. Built from the Kraus tensors
+    alone, so it is independent of the realization engine; the composed
+    superchannel is the second applied after the first, whose Gram matrix is
+    the Schur product of theirs.
+    """
+    (enc1, dec1, tau1), (enc2, dec2, tau2) = inner, outer
+    d = enc1.sys_in
+    # Kraus tensors [kraus, sys_out, mem_out, sys_in, mem_in]; the system index y joins the two maps
+    enc = np.einsum("cxpya,eyqsb->cexpqsab", enc1.kraus_tensors(), enc2.kraus_tensors())
+    dec = np.einsum("cxqyb,eypsa->cexpqsab", dec2.kraus_tensors(), dec1.kraus_tensors())
+    mems_in = (enc1.mem_in * enc2.mem_in, dec1.mem_in * dec2.mem_in)
+    mems_out = (enc1.mem_out * enc2.mem_out, dec1.mem_out * dec2.mem_out)
+    enc, dec = (
+        bipartite_channel(k.reshape(-1, d * m_out, d * m_in), (d, m_in, d, m_out))
+        for k, m_in, m_out in zip((enc, dec), mems_in, mems_out)
+    )
+    return enc, dec, kron(tau1, tau2)

@@ -28,7 +28,6 @@ from dephkit import (
     decompose_product_qubit,
     family_gram,
     family_ppt_closed_form,
-    family_realization,
     gram_action_on_affine,
     gram_from_controlled_unitaries,
     gram_from_simulation,
@@ -43,6 +42,7 @@ from dephkit import (
     random_channel,
     random_controlled_family,
     random_super_gram,
+    realize_super_gram,
     validate_super_gram,
     verify_dephasing_realization,
 )
@@ -125,7 +125,7 @@ def test_criterion_03_family_realization_roundtrip():
             for _ in range(10)
         ]
         for alpha, beta in params:
-            pre, post = family_realization(alpha, beta)
+            pre, post = realize_super_gram(family_gram(alpha, beta))
             recon = gram_from_controlled_unitaries(pre, post)
             assert max_abs(recon.mat - family_gram(alpha, beta).mat) < 1e-9
 

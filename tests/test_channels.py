@@ -17,8 +17,6 @@ from dephkit import (
     l1_coherence,
     random_channel,
     random_super_gram,
-    reshuffle,
-    superop_from_kraus,
     apply_super,
 )
 from dephkit.linalg import basis_matrix, max_abs, measure
@@ -34,6 +32,8 @@ from reference import (
     max_entangled_state,
     maximally_dephasing_channel,
     random_density_matrix,
+    reshuffle,
+    superop_from_kraus,
     unitary_channel,
 )
 

@@ -40,7 +40,7 @@ from dephkit.io import (
 )
 from dephkit.linalg import basis_vector, max_abs
 from dephkit.superchannels import bipartite_channel, controlled_unitary_channel
-from reference import identity_bipartite, identity_channel, unitary_channel
+from reference import identity_bipartite, identity_channel, unitary_channel, write_jamiolkowski_channel
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -115,6 +115,43 @@ def _assert_parse_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_gram_validate_out_writes_a_realization_that_reads_back(capsys, tmp_path):
+    gram, pair, recon = (tmp_path / name for name in ("gram.json", "pair.json", "recon.json"))
+    write_matrix(gram, random_super_gram(3, 5).mat)
+    code, report = run_json(capsys, "gram-validate", gram, "--out", pair)
+    assert code == 0
+    residual = next(d for d in report["details"] if d["check"] == "controlled-unitary round-trip residual")
+    assert residual["value"] <= 1e-12
+    assert main(["gram-from-unitaries", str(pair), "--out", str(recon)]) == 0
+    assert max_abs(read_matrix(recon) - read_matrix(gram)) <= 1e-12
+
+
+def test_gram_validate_out_writes_nothing_for_a_failing_matrix(capsys, tmp_path):
+    bad, out = tmp_path / "bad.json", tmp_path / "pair.json"
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = 0.9
+    write_matrix(bad, mat)
+    code, report = run_json(capsys, "gram-validate", bad, "--out", out)
+    assert code == 1
+    assert [d["check"] for d in report["details"]] == ["unit-diagonal", "hermitian", "psd", "equal-diagonal-blocks"]
+    assert not out.exists()
+
+
+def test_ppt_has_no_artifact_to_write(capsys, cmax_file, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["ppt", str(cmax_file), "--out", str(tmp_path / "ppt.json")])
+    assert err.value.code == 2
+    assert not (tmp_path / "ppt.json").exists()
+
+
+def test_bool_matrix_entry_is_a_parse_error(capsys, tmp_path):
+    # read as 1 and 0, these entries would be the 4x4 identity, a valid Gram matrix
+    path = tmp_path / "bools.json"
+    data = [[True, False] if i % 5 == 0 else [False, False] for i in range(16)]
+    path.write_text(json.dumps({"rows": 4, "cols": 4, "data": data}))
+    _assert_parse_error(capsys, ["gram-validate", path])
 
 
 @pytest.mark.parametrize("rows,cols", [(-1, -4), (-2, -2), (math.inf, 0)])
@@ -277,10 +314,12 @@ def test_family_realization_file_reads_back_to_the_family_matrix(capsys, tmp_pat
 
 @pytest.mark.parametrize("tol,code", [(None, 0), ("2e-16", 1)])
 def test_family_checks_its_unitaries_at_the_tol_flag(capsys, tol, code):
-    # The unitaries of the realization are unitary to 6.7e-16.
+    # The unitaries of the realization are unitary to 6.7e-16; a refusal is reported as its failed record.
     argv = ["family", "--alpha", "0.8", "--beta", "0.5j", "--realize", *(("--tol", tol) if tol else ())]
-    assert main(argv) == code
-    assert ("deviation from unitarity" in capsys.readouterr().err) == (code == 1)
+    got, report = run_json(capsys, *argv)
+    assert got == code
+    failed = [c["check"] for c in report["details"] if c["threshold"] is not None and not c["value"] <= c["threshold"]]
+    assert failed == (["unitary"] if code else [])
 
 
 def test_family_out_of_disk(capsys):
@@ -336,7 +375,7 @@ def test_apply_hadamard_max_dephasing_reports_cgp_drop(capsys, tmp_path):
 def test_apply_keeps_a_small_kraus_operator_at_a_tight_tol(capsys, tmp_path, kind):
     ch_path = tmp_path / "ch.json"
     gram_path = tmp_path / "ones.json"
-    write_channel(ch_path, small_flip_channel(), kind=kind)
+    (write_channel if kind == "kraus" else write_jamiolkowski_channel)(ch_path, small_flip_channel())
     write_matrix(gram_path, np.ones((4, 4)))
     assert main(["apply", str(ch_path), str(gram_path), "--tol", "1e-13"]) == 0
 
@@ -656,8 +695,8 @@ def test_memory_decompose_certificate_rereads_to_its_terms(capsys, tmp_path):
     assert obj["residual"] == dec.residual
     assert [t["weight"] for t in obj["terms"]] == [t.weight for t in dec.terms]
     for term, t in zip(obj["terms"], dec.terms, strict=True):
-        assert np.array_equal(matrix_from_obj(term["c1"]), t.c1.mat)
-        assert np.array_equal(matrix_from_obj(term["c2"]), t.c2.mat)
+        assert np.array_equal(matrix_from_obj(term["c1"]), t.c1)
+        assert np.array_equal(matrix_from_obj(term["c2"]), t.c2)
 
 
 def test_ppt_command(capsys, tmp_path):
@@ -795,7 +834,7 @@ def contract_files(tmp_path_factory):
     write_bipartite(root / "enc.json", controlled_unitary_channel(pre))
     write_bipartite(root / "dec.json", controlled_unitary_channel(post))
     write_channel(root / "kraus-channel.json", random_channel(2, 3, seed=9))
-    write_channel(root / "jamiolkowski-channel.json", random_channel(2, 2, seed=4), kind="jamiolkowski")
+    write_jamiolkowski_channel(root / "jamiolkowski-channel.json", random_channel(2, 2, seed=4))
     names = {name for files in CONTRACT_FILES.values() for name in files}
     return root, {name: json.loads((root / f"{name}.json").read_text()) for name in names}
 
@@ -816,7 +855,7 @@ def _mutations(key, value):
     """(new value, whether it breaks the wire schema) for one field; a null kind makes a file untagged."""
     options = [(junk, junk is not None or key != "kind") for junk in (None, True, "x", [], 2.5, -1, 1e308)]
     if key == "data":
-        options += [(value[:-1], True), (value + value[:1], True)]
+        options += [(value[:-1], True), (value + value[:1], True), ([[True, False]] + value[1:], True)]
     if key == "kraus":
         options.append(([], True))
     if key in DIMENSION_FIELDS:
@@ -860,12 +899,30 @@ def test_cli_contract_holds_on_mutated_files(contract_files, data):
         assert code == 2, (path, value, err)
 
 
+def _source_env():
+    """The environment of a fresh interpreter that imports dephkit from this source tree."""
+    src = Path(dephkit.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+def test_closed_stdout_is_an_io_error_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the report's first write meets a pipe nobody reads
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dephkit.cli", "demo-nmr", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_source_env(), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def _scipy_loaded_after(code):
     """Run code in a fresh interpreter on this source tree; whether scipy was imported."""
-    src = Path(dephkit.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     probe = f"import sys; {code}; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
 

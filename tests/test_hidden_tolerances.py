@@ -1,7 +1,9 @@
 """No hidden tolerance: DEFAULT_TOL is read in the package only where a caller can override it,
-and every call of a package function that takes tol passes one."""
+every call of a package function that takes tol passes one, and no line of the package floors
+tol, compares against a literal cutoff or leans on numpy's default tolerances."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -156,3 +158,47 @@ M = "class A:\n    def m(self, tol=1e-9):\n        return tol\n"
 )
 def test_call_gate_flags_every_call_that_drops_tol(source, lines):
     assert calls_without_tol({"m.py": source}).get("m.py", []) == lines
+
+
+# Line patterns that hide the caller's tol, each with the remedy its failure names.
+HIDDEN_CUTOFFS = {
+    re.escape("max(tol,"): "a tolerance floor hides the caller's tol; pass tol through instead",
+    r"[<>]=?[^=<>#]*[0-9]e-[0-9]": "a comparison against a literal hides the caller's tol; "
+    "pass tol through or use a named rank rule",
+    r"\b[ar]tol=|\b(isclose|allclose)\b": "numpy's default or a literal atol/rtol hides the caller's tol; "
+    "compare a measured deviation with tol instead",
+}
+
+
+def hidden_cutoffs(text: str) -> list[tuple[int, str]]:
+    """(line number, remedy) of every line of text that one of HIDDEN_CUTOFFS matches."""
+    return [
+        (number, remedy)
+        for number, line in enumerate(text.splitlines(), 1)
+        for pattern, remedy in HIDDEN_CUTOFFS.items()
+        if re.search(pattern, line)
+    ]
+
+
+def test_package_has_no_hidden_cutoff_on_any_line():
+    # every file of the package, as a recursive grep of a fresh checkout reads it
+    files = [p for p in sorted(PACKAGE.rglob("*")) if p.is_file() and "__pycache__" not in p.parts]
+    assert any(p.suffix == ".json" for p in files)
+    found = {str(p.relative_to(PACKAGE)): hidden_cutoffs(p.read_text(errors="replace")) for p in files}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize(
+    "line,pattern",
+    [
+        ("    return max(tol, 1e-7)", 0),
+        ("    if residual <= 1e-12:", 1),
+        ("    return np.allclose(a, b)", 2),
+        ("    return np.isclose(a, b, atol=tol)", 2),
+    ],
+)
+def test_cutoff_gate_flags_a_planted_line(line, pattern):
+    clean = "def f(x, tol):\n    return x <= tol\n"
+    assert hidden_cutoffs(clean) == []
+    remedy = list(HIDDEN_CUTOFFS.values())[pattern]
+    assert hidden_cutoffs(clean + line + "\n") == [(3, remedy)]

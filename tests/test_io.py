@@ -10,7 +10,6 @@ from dephkit import (
     jamiolkowski,
     random_channel,
     random_controlled_family,
-    superop_from_kraus,
 )
 from dephkit.io import (
     FileFormatError,
@@ -28,6 +27,7 @@ from dephkit.io import (
 )
 from dephkit.linalg import max_abs
 from dephkit.superchannels import controlled_unitary_channel
+from reference import superop_from_kraus, write_jamiolkowski_channel
 
 
 def test_matrix_roundtrip_bit_identical(tmp_path):
@@ -70,6 +70,13 @@ def test_matrix_dimension_that_is_not_a_nonnegative_integer_is_refused(rows, col
         matrix_from_obj({"rows": rows, "cols": cols, "data": FOUR_ENTRIES})
 
 
+@pytest.mark.parametrize("entry", [[True, 0], [1, False], [True, False]], ids=["real", "imag", "both"])
+def test_matrix_bool_entry_is_refused(entry):
+    # complex() would read true as 1 and false as 0, as int() read a bool dimension
+    with pytest.raises(FileFormatError, match="got a bool"):
+        matrix_from_obj({"rows": 2, "cols": 2, "data": [entry, [0, 0], [0, 0], [1, 0]]})
+
+
 def test_integral_float_dimension_reads_as_an_integer():
     mat = matrix_from_obj({"rows": 2.0, "cols": 2, "data": FOUR_ENTRIES})
     assert np.array_equal(mat, np.eye(2))
@@ -97,7 +104,7 @@ def test_read_matrix_parse_error(tmp_path):
 def test_channel_kraus_roundtrip(tmp_path):
     ch = random_channel(2, 3, seed=1)
     path = tmp_path / "ch.json"
-    write_channel(path, ch, kind="kraus")
+    write_channel(path, ch)
     back = read_channel(path)
     assert max_abs(superop_from_kraus(back) - superop_from_kraus(ch)) < 1e-12
 
@@ -105,7 +112,7 @@ def test_channel_kraus_roundtrip(tmp_path):
 def test_channel_jamiolkowski_roundtrip(tmp_path):
     ch = random_channel(2, 2, seed=2)
     path = tmp_path / "ch.json"
-    write_channel(path, ch, kind="jamiolkowski")
+    write_jamiolkowski_channel(path, ch)
     back = read_channel(path)
     assert max_abs(jamiolkowski(back) - jamiolkowski(ch)) < 1e-9
 
@@ -114,7 +121,7 @@ def test_channel_kraus_tp_checked_at_the_callers_tol(tmp_path):
     ch = random_channel(2, 3, seed=1)
     path = tmp_path / "ch.json"
     dented = channel_from_kraus([k * (1 + 5e-8) for k in ch.kraus], tol=1e-6)
-    write_channel(path, dented, kind="kraus")
+    write_channel(path, dented)
     read_channel(path, tol=1e-6)
     with pytest.raises(ValidationError) as err:
         read_channel(path)

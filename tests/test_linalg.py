@@ -11,11 +11,10 @@ from dephkit import (
     min_eig_hermitian,
     partial_trace,
     partial_transpose,
-    reshuffle,
 )
 from dephkit.linalg import Check, basis_matrix, basis_vector, max_abs, psd_factors
 from dephkit.memory import family_gram
-from reference import is_psd, schur
+from reference import is_psd, reshuffle, schur
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -85,12 +84,11 @@ def test_partial_transpose_product_case():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert max_abs(partial_transpose(kron(a, b), (2, 3), "second") - kron(a, b.T)) < 1e-15
-    assert max_abs(partial_transpose(kron(a, b), (2, 3), "first") - kron(a.T, b)) < 1e-15
+    assert max_abs(partial_transpose(kron(a, b), (2, 3)) - kron(a, b.T)) < 1e-15
 
 
 def test_partial_transpose_family_eigenvalue():
-    pt = partial_transpose(family_gram(1, 1).mat, (3, 3), "second")
+    pt = partial_transpose(family_gram(1, 1).mat, (3, 3))
     assert abs(min_eig_hermitian(pt) - (1 - np.sqrt(2))) < 1e-9
 
 
@@ -129,7 +127,7 @@ def test_min_eig_trivial_cases():
 
 def test_min_eig_family_closed_form():
     for alpha, beta in [(1, 1), (0.5, 0.5j), (0.9, 0.1)]:
-        pt = partial_transpose(family_gram(alpha, beta).mat, (3, 3), "second")
+        pt = partial_transpose(family_gram(alpha, beta).mat, (3, 3))
         expected = 1 - np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         assert abs(min_eig_hermitian(pt) - expected) < 1e-9
 
@@ -207,8 +205,7 @@ def test_involutions(d, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     assert np.array_equal(reshuffle(reshuffle(m, d), d), m)
-    for which in ("first", "second"):
-        assert np.array_equal(partial_transpose(partial_transpose(m, (d, d), which), (d, d), which), m)
+    assert np.array_equal(partial_transpose(partial_transpose(m, (d, d)), (d, d)), m)
 
 
 @settings(max_examples=30, deadline=None)

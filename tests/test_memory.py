@@ -12,7 +12,6 @@ from dephkit import (
     decompose_product_qubit,
     family_gram,
     family_ppt_closed_form,
-    family_realization,
     gram_from_controlled_unitaries,
     is_passive_compatible,
     kron,
@@ -22,6 +21,7 @@ from dephkit import (
     nmr_experimental_gram,
     ppt_min_eig,
     random_super_gram,
+    realize_super_gram,
     validate_super_gram,
 )
 from dephkit import memory
@@ -175,8 +175,8 @@ def test_decompose_all_ones():
     sg = validate_super_gram(np.ones((4, 4)), 2)
     dec = decompose_product_qubit(sg)
     assert len(dec.terms) == 1
-    assert max_abs(dec.terms[0].c1.mat - np.ones((2, 2))) < 1e-12
-    assert max_abs(dec.terms[0].c2.mat - np.ones((2, 2))) < 1e-12
+    assert max_abs(dec.terms[0].c1 - np.ones((2, 2))) < 1e-12
+    assert max_abs(dec.terms[0].c2 - np.ones((2, 2))) < 1e-12
 
 
 def _assert_certificate(sg, dec, tol, max_terms=8):
@@ -186,8 +186,8 @@ def _assert_certificate(sg, dec, tol, max_terms=8):
     assert abs(dec.total_weight() - 1.0) <= tol
     for term in dec.terms:
         assert term.weight > 0
-        gram_matrix(term.c1.mat)
-        gram_matrix(term.c2.mat)
+        gram_matrix(term.c1)
+        gram_matrix(term.c2)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -213,7 +213,7 @@ def test_decompose_factors_are_exact_circle_grams(seed):
     eps = np.finfo(float).eps
     for sg in targets:
         for term in decompose_product_qubit(sg, tol=1e-10).terms:
-            for c in (term.c1.mat, term.c2.mat):
+            for c in (term.c1, term.c2):
                 assert np.array_equal(np.diag(c), [1.0, 1.0])
                 assert np.array_equal(c, c.conj().T)
                 assert abs(abs(c[1, 0]) - 1.0) <= 4 * eps
@@ -524,8 +524,8 @@ def test_pricing_is_exact_on_product_residuals(seed, radius):
     assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
     if radius == 1.0:
         (term,) = dec.terms
-        assert abs(np.angle(term.c1.mat[1, 0] * np.exp(-1j * t1))) < 1e-12
-        assert abs(np.angle(term.c2.mat[1, 0] * np.exp(-1j * t2))) < 1e-12
+        assert abs(np.angle(term.c1[1, 0] * np.exp(-1j * t1))) < 1e-12
+        assert abs(np.angle(term.c2[1, 0] * np.exp(-1j * t2))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -543,7 +543,7 @@ def test_pricing_finds_the_best_product_atom(seed):
     _assert_certificate(sg, dec, 1e-12)
     assert max_abs(dec.reconstruct() - sg.mat) <= 1e-14
     for term in dec.terms:
-        assert max_abs((term.c1, term.c2)[pure].mat - factors[0]) <= 1e-14
+        assert max_abs((term.c1, term.c2)[pure] - factors[0]) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -646,7 +646,7 @@ def test_family_rejects_out_of_disk():
     with pytest.raises(ValidationError):
         family_gram(1.2, 0)
     with pytest.raises(ValidationError):
-        family_realization(0, 1.0001)
+        realize_super_gram(family_gram(0, 1.0001))
 
 
 def test_family_disk_check_follows_tol():
@@ -667,7 +667,7 @@ def test_family_refuses_a_nan_or_negative_tol(tol):
 
 @pytest.mark.parametrize("bad", [math.nan, complex("nan"), complex(0.5, math.nan), math.inf])
 @pytest.mark.parametrize("position", ["alpha", "beta"])
-@pytest.mark.parametrize("fn", [family_gram, family_ppt_closed_form, family_realization])
+@pytest.mark.parametrize("fn", [family_gram, family_ppt_closed_form])
 def test_family_refuses_a_non_finite_parameter(fn, position, bad):
     # max(|a|, |b|) drops a NaN modulus, so the disk check alone let a NaN through.
     params = {"alpha": 0.5, "beta": 0.5, position: bad}
@@ -678,8 +678,8 @@ def test_family_refuses_a_non_finite_parameter(fn, position, bad):
 
 @pytest.mark.parametrize("alpha,beta", [(0.8, 0.5j), (1, 0), (0.3, -1j)])
 def test_family_realization_unitaries_are_exact_and_deterministic(alpha, beta):
-    first = family_realization(alpha, beta)
-    second = family_realization(alpha, beta)
+    first = realize_super_gram(family_gram(alpha, beta))
+    second = realize_super_gram(family_gram(alpha, beta))
     for fam, again in zip(first, second):
         for u, v in zip(fam.unitaries, again.unitaries):
             assert measure(u, ("unitary",), 1e-14)[0].value <= 1e-14
@@ -695,13 +695,13 @@ def test_family_ppt_closed_form_grid():
 
 def test_family_realization_degenerate_vectors():
     # At unit modulus the matrix is singular: psi_10 = psi_02 and psi_20 = psi_00.
-    pre, post = family_realization(1, 1)
+    pre, post = realize_super_gram(family_gram(1, 1))
     recon = gram_from_controlled_unitaries(pre, post)
     assert max_abs(recon.mat - family_gram(1, 1).mat) < 1e-12
 
 
 def test_family_realization_identity_case():
-    pre, post = family_realization(0, 0)
+    pre, post = realize_super_gram(family_gram(0, 0))
     sg = gram_from_controlled_unitaries(pre, post)
     assert max_abs(sg.mat - np.eye(9)) < 1e-12
 
@@ -711,7 +711,7 @@ def test_family_realization_roundtrip(seed):
     rng = np.random.default_rng(seed)
     alpha = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
     beta = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-    pre, post = family_realization(alpha, beta)
+    pre, post = realize_super_gram(family_gram(alpha, beta))
     sg = gram_from_controlled_unitaries(pre, post)
     assert max_abs(sg.mat - family_gram(alpha, beta).mat) < 1e-9
 

@@ -22,6 +22,7 @@ from dephkit import (
     random_channel,
     random_controlled_family,
     random_super_gram,
+    realize_super_gram,
     validate_super_gram,
     verify_dephasing_realization,
     verify_simulation_consistency,
@@ -215,7 +216,7 @@ def test_gram_block_structure_and_diagonal_block_formula(d, seed):
         for l in range(d):
             expected[k, l] = np.vdot(pre.unitaries[l] @ e0, pre.unitaries[k] @ e0)
     for i in range(d):
-        assert max_abs(sg.block(i, i) - expected) < 1e-12
+        assert max_abs(sg.mat[i * d : (i + 1) * d, i * d : (i + 1) * d] - expected) < 1e-12
 
 
 def test_controlled_family_rejects_non_unitary():
@@ -231,7 +232,7 @@ def test_controlled_family_rejects_non_unitary():
 
 
 def realized(kind, d, arg):
-    """One valid matrix of each kind, its tol, and its _realize families."""
+    """One valid matrix of each kind, its tol, and its realize_super_gram families."""
     if kind == "random":
         sg, tol = random_super_gram(d, arg), DEFAULT_TOL
     elif kind == "family":
@@ -241,7 +242,7 @@ def realized(kind, d, arg):
     else:
         block = np.ones((d, d)) if kind == "ones" else np.eye(d)
         sg, tol = validate_super_gram(np.kron(np.ones((d, d)), block), d), DEFAULT_TOL
-    return sg, tol, superchannels._realize(sg, tol)
+    return sg, tol, realize_super_gram(sg, tol)
 
 
 REALIZE_INPUTS = [
@@ -289,7 +290,7 @@ def test_realize_carries_a_diagonal_block_defect_over_unamplified(d, seed, delta
     mat[b, a] += delta
     # the random blocks are equal only to rounding, so the defect reads delta + O(eps)
     sg = validate_super_gram(mat, d, tol=2 * delta)
-    pre, post = superchannels._realize(sg, 2 * delta)
+    pre, post = realize_super_gram(sg, 2 * delta)
     assert max_abs(gram_from_controlled_unitaries(pre, post, 2 * delta).mat - sg.mat) <= delta + 1e-14
 
 
@@ -420,7 +421,6 @@ def test_verify_cmax_realization(cmax, cmax_families):
     dec = controlled_unitary_channel(post)
     report = verify_dephasing_realization(enc, dec, pure_memory_state(4))
     assert report.passed
-    assert max_abs(report.c_en - np.eye(2)) < 1e-12  # C_en reads off the diagonal block of CMAX
     assert max_abs(report.gram_entries - cmax.mat) < 1e-12
 
 
@@ -428,9 +428,7 @@ def test_verify_identity_realization():
     enc = dec = identity_bipartite(2, 3)
     report = verify_dephasing_realization(enc, dec, random_density_matrix(3, 11))
     assert report.passed
-    assert max_abs(report.c_en - np.ones((2, 2))) < 1e-12
-    for cm in report.c_de:
-        assert max_abs(cm - np.ones((2, 2))) < 1e-12
+    assert max_abs(report.gram_entries - np.ones((4, 4))) < 1e-12  # and so are both marginals
 
 
 def test_verify_swap_encoder_fails_encoder_condition():
@@ -499,22 +497,22 @@ def test_decoder_witness_is_the_lowest_of_tied_levels(d, seed):
 
 def test_marginal_grams_all_ones():
     c_en, c_de = marginal_grams(identity_super_gram(2))
-    assert max_abs(c_en.mat - np.ones((2, 2))) < 1e-12
+    assert max_abs(c_en - np.ones((2, 2))) < 1e-12
     for cm in c_de:
-        assert max_abs(cm.mat - np.ones((2, 2))) < 1e-12
+        assert max_abs(cm - np.ones((2, 2))) < 1e-12
 
 
 def test_marginal_grams_cmax(cmax):
     c_en, c_de = marginal_grams(cmax)
-    assert max_abs(c_en.mat - np.eye(2)) < 1e-12
-    assert max_abs(c_de[0].mat - np.ones((2, 2))) < 1e-12
-    assert max_abs(c_de[1].mat - np.eye(2)) < 1e-12
+    assert max_abs(c_en - np.eye(2)) < 1e-12
+    assert max_abs(c_de[0] - np.ones((2, 2))) < 1e-12
+    assert max_abs(c_de[1] - np.eye(2)) < 1e-12
 
 
 def test_marginal_grams_nmr_values():
     _, c_de = marginal_grams(nmr_experimental_gram())
-    assert abs(c_de[0].mat[0, 1] - (0.003 + 0.465j)) < 1e-12
-    assert abs(c_de[1].mat[0, 1] - (-0.129 + 0.182j)) < 1e-12
+    assert abs(c_de[0][0, 1] - (0.003 + 0.465j)) < 1e-12
+    assert abs(c_de[1][0, 1] - (-0.129 + 0.182j)) < 1e-12
 
 
 def test_marginals_match_realization_report():
@@ -525,10 +523,12 @@ def test_marginals_match_realization_report():
     report = verify_dephasing_realization(
         controlled_unitary_channel(pre), controlled_unitary_channel(post), pure_memory_state(d * d)
     )
+    assert next(c for c in report.checks if c.name == "marginal-consistency").value < 1e-9
     c_en, c_de = marginal_grams(sg)
-    assert max_abs(report.c_en - c_en.mat) < 1e-9
+    got_en, got_de = marginal_grams(validate_super_gram(report.gram_entries, d))
+    assert max_abs(got_en - c_en) < 1e-9
     for m in range(d):
-        assert max_abs(report.c_de[m] - c_de[m].mat) < 1e-9
+        assert max_abs(got_de[m] - c_de[m]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +711,6 @@ def reference_evaluation(enc, dec, tau, tol=1e-9):
         values["simulation-mismatch"] = max_mismatch
     return {
         "checks": [(name, value <= tol, value) for name, value in values.items()],
-        "c_en": c_en,
-        "sigma": sigma,
-        "c_de": c_de,
         "gram": gram,
         "max_mismatch": max_mismatch,
         "tensor": rhs,
@@ -729,10 +726,6 @@ def test_engine_matches_per_basis_reference(kind, d):
     assert [(c.name, c.passed) for c in report.checks] == [(n, p) for n, p, _ in ref["checks"]]
     for check, (_, _, value) in zip(report.checks, ref["checks"]):
         assert abs(check.value - value) <= 1e-12, check.name
-    assert max_abs(report.c_en - ref["c_en"]) <= 1e-12
-    for m in range(d):
-        assert max_abs(report.sigma[m] - ref["sigma"][m]) <= 1e-12
-        assert max_abs(report.c_de[m] - ref["c_de"][m]) <= 1e-12
     assert max_abs(report.gram_entries - ref["gram"]) <= 1e-12
 
     audit = verify_simulation_consistency(enc, dec, tau)
@@ -933,10 +926,6 @@ def test_engine_matches_reference_with_unmatched_slabs_switched(seed, d, enc_bit
     assert [(c.name, c.passed) for c in report.checks] == [(n, p) for n, p, _ in ref["checks"]]
     for check, (_, _, value) in zip(report.checks, ref["checks"]):
         assert abs(check.value - value) <= 1e-12, check.name
-    assert max_abs(report.c_en - ref["c_en"]) <= 1e-12
-    for m in range(d):
-        assert max_abs(report.sigma[m] - ref["sigma"][m]) <= 1e-12
-        assert max_abs(report.c_de[m] - ref["c_de"][m]) <= 1e-12
     assert max_abs(report.gram_entries - ref["gram"]) <= 1e-12
     assert (report.checks[0].value == 0.0) == (not enc_leaks)
     assert (report.checks[1].value == 0.0) == (not dec_leaks)
